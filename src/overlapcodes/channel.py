@@ -8,7 +8,7 @@ test is detection latency, not correction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .words import DIGITS, CodeSet

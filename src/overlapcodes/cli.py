@@ -22,14 +22,12 @@ from .bounds import bound_report
 from .channel import (CorruptionSpec, burst_range, corrupt, detection_offset,
                       encode_stream, scan_decode)
 from .constructions import (ConstructionSpec, claimed_windows, code_size_1k,
-                            non_overlapping, non_overlapping_size,
-                            run_construction)
-from .families import (EnumerationBudgetExceeded, PartitionFamily,
-                       enumerate_families)
+                            non_overlapping_size, run_construction)
+from .families import EnumerationBudgetExceeded, enumerate_families
 from .fileio import (FormatError, RunManifest, format_family, read_code,
                      read_family, sha256_digest, write_code, write_manifest)
 from .search import max_code
-from .words import CodeSet, verify_overlap_free
+from .words import verify_overlap_free
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -387,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2_000_000,
                    help="node-expansion budget")
     p.add_argument("--method", default="auto",
-                   choices=["auto", "rectangle", "quotient", "raw"])
+                   choices=["auto", "classcount", "rectangle", "quotient",
+                            "raw"])
     p.add_argument("--json")
     p.set_defaults(func=_cmd_search)
 

@@ -12,9 +12,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable
 
-from .families import PartitionFamily, checked, family
+from .families import PartitionFamily, family
 from .words import CodeSet, code
 
 

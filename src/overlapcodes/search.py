@@ -2,26 +2,33 @@
 family-level maximality certificate.
 
 A (t1, t2)-overlap-free code is exactly a clique in the compatibility graph
-whose vertices are the self-compatible words.  Three exact engines cover the
+whose vertices are the self-compatible words.  Four exact engines cover the
 desk-scale parameter space:
 
-* ``raw``       - branch and bound with greedy-coloring bounds on the full graph.
-* ``quotient``  - the same, after contracting words with equal (prefix_t2,
-                  suffix_t2) signatures; compatibility only depends on the
-                  signature, so groups are modules and carry weights.
-* ``rectangle`` - for n >= 2*t2 a maximum code is a product P x Sigma^(n-2t2)
-                  x S with the prefix sets of P disjoint from the suffix sets
-                  of S level by level; enumerate the level splits directly.
+* ``raw``        - bit-parallel branch and bound on the full graph; the bound
+                   is the number of greedy colour classes (San Segundo et
+                   al., BBMC, Comput. Oper. Res. 2011).
+* ``quotient``   - the free-middle reduction: compatibility only depends on
+                   the first and last t2 symbols, so for n > 2*t2 the same
+                   search runs at n = 2*t2 and every middle is inserted into
+                   the witness (size times q^(n-2t2)); for n <= 2*t2 it is
+                   the raw search.
+* ``rectangle``  - for n >= 2*t2 a maximum code is a product P x Sigma^(n-2t2)
+                   x S with the prefix sets of P disjoint from the suffix sets
+                   of S level by level; enumerate the level splits directly.
+* ``classcount`` - for t1 = t2 = t and n < 2t a code is a split of Sigma^t
+                   into prefix and suffix sides; its size only depends on how
+                   many strings each (head-key, tail-key) class gives the
+                   prefix side, so enumerate those counts.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterator
 
-from .constructions import overlap_free_1k
+from .constructions import lift_code, overlap_free_1k
 from .families import PartitionFamily, checked
 from .words import (DIGITS, CodeSet, all_words, check_alphabet, check_window,
                     code, self_compatible, verify_overlap_free)
@@ -60,104 +67,80 @@ def build_graph(q: int, n: int, t1: int, t2: int, *,
     if q ** n > vertex_cap:
         raise ValueError(f"universe of {q ** n} words exceeds vertex cap {vertex_cap}")
     verts = [w for w in all_words(q, n) if self_compatible(w, t1, t2)]
-    m = len(verts)
-    full = (1 << m) - 1
-    adj = [full & ~(1 << i) for i in range(m)]
+    conflict = [1 << i for i in range(len(verts))]
     for t in range(t1, t2 + 1):
-        by_prefix: dict[str, list[int]] = {}
-        for i, w in enumerate(verts):
-            by_prefix.setdefault(w[:t], []).append(i)
+        by_prefix: dict[str, int] = {}
+        by_suffix: dict[str, int] = {}
         cut = n - t
-        for j, w in enumerate(verts):
-            for i in by_prefix.get(w[cut:], ()):
-                if i != j:
-                    adj[i] &= ~(1 << j)
-                    adj[j] &= ~(1 << i)
-    return CompatibilityGraph(q, n, t1, t2, tuple(verts), tuple(adj))
+        for i, w in enumerate(verts):
+            bit = 1 << i
+            by_prefix[w[:t]] = by_prefix.get(w[:t], 0) | bit
+            by_suffix[w[cut:]] = by_suffix.get(w[cut:], 0) | bit
+        for i, w in enumerate(verts):
+            conflict[i] |= by_suffix.get(w[:t], 0) | by_prefix.get(w[cut:], 0)
+    full = (1 << len(verts)) - 1
+    adj = tuple(full ^ mask for mask in conflict)
+    return CompatibilityGraph(q, n, t1, t2, tuple(verts), adj)
 
 
-class _MaxWeightClique:
-    """Deterministic branch and bound with greedy-coloring weight bounds."""
+class _MaxClique:
+    """Deterministic bit-parallel branch and bound; the bound at a node is
+    the number of greedy colour classes of its candidate set (BBMC)."""
 
-    def __init__(self, adjacency: list[int], weights: list[int],
-                 node_budget: int):
+    def __init__(self, adjacency: tuple[int, ...], node_budget: int):
         self.adj = adjacency
-        self.weights = weights
         self.m = len(adjacency)
+        full = (1 << self.m) - 1
+        self.non_adj = [full ^ a ^ (1 << v) for v, a in enumerate(adjacency)]
         self.budget = node_budget
         self.nodes = 0
-        self.best_weight = 0
+        self.best_size = 0
         self.best_mask = 0
 
     def _greedy_seed(self) -> None:
-        mask, weight, cand = 0, 0, (1 << self.m) - 1
+        mask, size, cand = 0, 0, (1 << self.m) - 1
         while cand:
             low = cand & -cand
-            v = low.bit_length() - 1
             mask |= low
-            weight += self.weights[v]
-            cand &= self.adj[v]
-        self.best_weight, self.best_mask = weight, mask
+            size += 1
+            cand &= self.adj[low.bit_length() - 1]
+        self.best_size, self.best_mask = size, mask
 
-    def _color_order(self, cand: int, threshold: int,
-                     ) -> list[tuple[int, int]] | None:
-        """(vertex, bound) pairs in branch order: vertices grouped into
-        greedy independent classes, bound = cumulative max class weight.
-        None when the total bound cannot beat the threshold."""
-        adj = self.adj
-        weights = self.weights
-        class_masks: list[int] = []
-        class_maxw: list[int] = []
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest &= ~low
-            av = adj[v]
-            wv = weights[v]
-            for idx, cmask in enumerate(class_masks):
-                if not (av & cmask):
-                    class_masks[idx] = cmask | low
-                    if wv > class_maxw[idx]:
-                        class_maxw[idx] = wv
-                    break
-            else:
-                class_masks.append(low)
-                class_maxw.append(wv)
-        if sum(class_maxw) <= threshold:
-            return None
-        ordered: list[tuple[int, int]] = []
-        running = 0
-        for cmask, cmax in zip(class_masks, class_maxw):
-            running += cmax
-            members = cmask
-            while members:
-                low = members & -members
-                members &= ~low
-                ordered.append((low.bit_length() - 1, running))
-        return ordered
-
-    def _expand(self, r_mask: int, r_weight: int, cand: int) -> None:
+    def _expand(self, r_mask: int, r_size: int, cand: int) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise SearchBudgetExceeded
-        order = self._color_order(cand, self.best_weight - r_weight)
-        if order is None:
-            return
         adj = self.adj
-        weights = self.weights
-        for v, bound in reversed(order):
-            if r_weight + bound <= self.best_weight:
+        non_adj = self.non_adj
+        # Colour classes: each takes the lowest remaining vertex, then the
+        # lowest vertex that is not adjacent to any taken one, and so on.
+        # A vertex in class k bounds its branch by r_size + k, so only
+        # classes above best_size - r_size are listed for branching.
+        kmin = self.best_size - r_size
+        order: list[tuple[int, int]] = []
+        rest = cand
+        k = 0
+        while rest:
+            k += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                rest ^= low
+                avail &= non_adj[v]
+                if k > kmin:
+                    order.append((v, k))
+        for v, k in reversed(order):
+            if r_size + k <= self.best_size:
                 return
             bit = 1 << v
             new_cand = cand & adj[v]
-            new_weight = r_weight + weights[v]
             if new_cand:
-                self._expand(r_mask | bit, new_weight, new_cand)
-            elif new_weight > self.best_weight:
-                self.best_weight = new_weight
+                self._expand(r_mask | bit, r_size + 1, new_cand)
+            elif r_size + 1 > self.best_size:
+                self.best_size = r_size + 1
                 self.best_mask = r_mask | bit
-            cand &= ~bit
+            cand ^= bit
 
     def solve(self) -> tuple[int, int, int, bool]:
         if self.m == 0:
@@ -168,19 +151,7 @@ class _MaxWeightClique:
             self._expand(0, 0, (1 << self.m) - 1)
         except SearchBudgetExceeded:
             exact = False
-        return self.best_weight, self.best_mask, self.nodes, exact
-
-
-def _signature_groups(graph: CompatibilityGraph) -> tuple[list[str], list[int], list[list[str]]]:
-    """Contract equal (prefix_t2, suffix_t2) words into weighted groups."""
-    t2, n = graph.t2, graph.n
-    groups: dict[tuple[str, str], list[str]] = {}
-    for w in graph.vertices:
-        groups.setdefault((w[:t2], w[n - t2:]), []).append(w)
-    reps = sorted(groups, key=lambda sig: groups[sig][0])
-    members = [sorted(groups[sig]) for sig in reps]
-    weights = [len(g) for g in members]
-    return [groups[sig][0] for sig in reps], weights, members
+        return self.best_size, self.best_mask, self.nodes, exact
 
 
 def _rectangle_levels_feasible(q: int, t1: int, t2: int) -> bool:
@@ -312,8 +283,6 @@ def _classcount_max(q: int, n: int, t: int) -> tuple[int, set[str]]:
              for x in p_side
              for y in s_side
              if x[t - head:] == y[:head]}
-    if len(words) != best_val:
-        raise AssertionError("class-count witness disagrees with its value")
     return best_val, words
 
 
@@ -332,7 +301,10 @@ def max_code(q: int, n: int, t1: int, t2: int, *,
              vertex_cap: int = DEFAULT_VERTEX_CAP,
              max_words: int = 10_000_000) -> SearchResult:
     """A maximum (t1, t2)-overlap-free code, exact unless the node budget is
-    exhausted.  method: auto | rectangle | quotient | raw."""
+    exhausted.  method: auto | classcount | rectangle | quotient | raw; auto
+    takes classcount, then rectangle, where they apply, and else quotient.
+    vertex_cap bounds the graph the branch and bound builds, max_words the
+    witness."""
     check_alphabet(q)
     check_window(n, t1, t2)
     if method not in ("auto", "rectangle", "classcount", "quotient", "raw"):
@@ -345,64 +317,39 @@ def max_code(q: int, n: int, t1: int, t2: int, *,
     if method == "classcount" and not use_classcount:
         raise ValueError("classcount method requires t1 == t2, n < 2*t2, and "
                          "small key classes")
+    nodes, exact, base_n = 0, True, n
     if method in ("auto", "classcount") and use_classcount:
         value, words = _classcount_max(q, n, t2)
-        witness = code(q, n, words, (t1, t2))
-        if verify_overlap_free(witness, t1, t2) is not None:
-            raise AssertionError("class-count witness failed verification")
-        return SearchResult(size=value, code=witness, exact=True, nodes=0,
-                            method="classcount")
-    if method in ("auto", "rectangle") and use_rectangle:
+        used = "classcount"
+    elif method in ("auto", "rectangle") and use_rectangle:
         value, p_side, s_side = _rectangle_max(q, t1, t2)
-        middle = n - 2 * t2
-        total = value * q ** middle
-        if total > max_words:
-            raise ValueError(f"witness of {total} words exceeds max_words")
-        words = {p + "".join(mid) + s
-                 for p in p_side
-                 for mid in iproduct(DIGITS[:q], repeat=middle)
-                 for s in s_side}
-        witness = code(q, n, words, (t1, t2))
-        if verify_overlap_free(witness, t1, t2) is not None:
-            raise AssertionError("rectangle witness failed verification")
-        return SearchResult(size=total, code=witness, exact=True, nodes=0,
-                            method="rectangle")
-
-    graph = build_graph(q, n, t1, t2, vertex_cap=vertex_cap)
-    if method == "raw":
-        reps = list(graph.vertices)
-        weights = [1] * len(reps)
-        members = [[w] for w in reps]
-        adjacency = list(graph.adjacency)
-        used = "raw"
+        words = {p + s for p in p_side for s in s_side}
+        base_n, used = 2 * t2, "rectangle"
     else:
-        reps, weights, members = _signature_groups(graph)
-        index = graph.index()
-        adjacency = []
-        rep_ids = [index[r] for r in reps]
-        for i, ri in enumerate(rep_ids):
-            mask = 0
-            arow = graph.adjacency[ri]
-            for jj, rj in enumerate(rep_ids):
-                if jj != i and (arow >> rj) & 1:
-                    mask |= 1 << jj
-            adjacency.append(mask)
-        used = "quotient"
-
-    solver = _MaxWeightClique(adjacency, weights, node_budget)
-    weight, mask, nodes, exact = solver.solve()
-    words: set[str] = set()
-    picked = mask
-    while picked:
-        low = picked & -picked
-        picked &= ~low
-        words.update(members[low.bit_length() - 1])
-    witness = code(q, n, words, (t1, t2))
+        # Compatibility only reads the first and last t2 symbols, so beyond
+        # n = 2*t2 the graph is the 2*t2 graph with every middle inserted.
+        if method != "raw":
+            base_n = min(n, 2 * t2)
+        used = "raw" if method == "raw" else "quotient"
+        graph = build_graph(q, base_n, t1, t2, vertex_cap=vertex_cap)
+        value, mask, nodes, exact = _MaxClique(graph.adjacency,
+                                               node_budget).solve()
+        words = set()
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            words.add(graph.vertices[low.bit_length() - 1])
+    if len(words) != value:
+        raise AssertionError(f"{used} witness disagrees with its size")
+    size = value * q ** (n - base_n)
+    if size > max_words:
+        raise ValueError(f"witness of {size} words exceeds max_words")
+    witness = code(q, base_n, words, (t1, t2))
+    if base_n < n:
+        witness = lift_code(witness, n, max_words=max_words)
     if verify_overlap_free(witness, t1, t2) is not None:
-        raise AssertionError("search witness failed verification")
-    if len(witness.words) != weight:
-        raise AssertionError("witness size disagrees with solver weight")
-    return SearchResult(size=weight, code=witness, exact=exact, nodes=nodes,
+        raise AssertionError(f"{used} witness failed verification")
+    return SearchResult(size=size, code=witness, exact=exact, nodes=nodes,
                         method=used)
 
 

@@ -7,7 +7,7 @@ alphabet as the canonical symbols ``0 .. q-1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 

@@ -184,3 +184,14 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-subcommand"])
     assert exc.value.code == 2
+
+
+def test_search_classcount_method(tmp_path):
+    out = tmp_path / "search.json"
+    rc = main(["search", "--q", "2", "--n", "5", "--t1", "3", "--t2", "3",
+               "--method", "classcount", "--json", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    schema_validate(payload, load_schema("search_result.v1.json"))
+    assert payload["method"] == "classcount" and payload["exact"]
+    assert payload["size"] == len(payload["witness"])

@@ -1,13 +1,14 @@
 import pytest
 
 from overlapcodes.families import balanced_family, enumerate_families, family
-from overlapcodes.constructions import overlap_free_1k
+from overlapcodes.constructions import lift_code, overlap_free_1k
 from overlapcodes.search import (all_maximal_from_construction,
                                  binary_edge_check, build_graph,
                                  enumerate_maximal_codes, extension_word,
                                  greedy_complete, is_maximal, max_code,
                                  maximality_certificate)
-from overlapcodes.words import DIGITS, all_words, code, verify_overlap_free
+from overlapcodes.words import (DIGITS, all_words, code, overlap_lengths,
+                                verify_overlap_free)
 
 
 def brute_max_size(q, n, t1, t2):
@@ -29,6 +30,28 @@ def brute_max_size(q, n, t1, t2):
 
     grow((1 << len(g.vertices)) - 1, 0)
     return best
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (2, 5),
+                                 (3, 2), (3, 3), (3, 4), (3, 5)])
+def test_adjacency_matches_overlap_oracle(q, n):
+    words = list(all_words(q, n))
+    clash = {(u, v): overlap_lengths(u, v) | overlap_lengths(v, u)
+             for u in words for v in words}
+    for t1 in range(1, n):
+        for t2 in range(t1, n):
+            window = set(range(t1, t2 + 1))
+            g = build_graph(q, n, t1, t2)
+            assert list(g.vertices) == [w for w in words
+                                        if not clash[w, w] & window]
+            for i, u in enumerate(g.vertices):
+                row = g.adjacency[i]
+                assert not row >> i & 1
+                for j, v in enumerate(g.vertices):
+                    edge = bool(row >> j & 1)
+                    assert edge == bool(g.adjacency[j] >> i & 1)
+                    if i != j:
+                        assert edge == (not clash[u, v] & window), (u, v)
 
 
 def test_max_code_examples():
@@ -80,6 +103,38 @@ def test_budget_exhaustion_flags_inexact():
     r = max_code(3, 5, 2, 3, node_budget=10, method="quotient")
     assert not r.exact
     assert verify_overlap_free(r.code, 2, 3) is None
+
+
+@pytest.mark.parametrize("window,size", [((3, 6, 5, 5), 293),
+                                         ((3, 5, 4, 4), 96),
+                                         ((3, 6, 2, 5), 53)])
+def test_search_tree_is_pinned(window, size):
+    # values of the first-fit colouring engine this one replaced
+    r = max_code(*window, node_budget=1000)
+    assert (r.size, r.nodes, r.exact, r.method) == (size, 1001, False,
+                                                    "quotient")
+    assert verify_overlap_free(r.code, *window[2:]) is None
+
+
+@pytest.mark.parametrize("q,n,t1,t2", [(2, 7, 2, 3), (3, 7, 2, 3),
+                                       (2, 10, 3, 4)])
+def test_quotient_is_raw_search_at_2t2_lifted(q, n, t1, t2):
+    for budget in (20, 500):
+        quo = max_code(q, n, t1, t2, node_budget=budget, method="quotient")
+        base = max_code(q, 2 * t2, t1, t2, node_budget=budget, method="raw")
+        assert quo.method == "quotient"
+        assert quo.size == base.size * q ** (n - 2 * t2)
+        assert quo.code.words == lift_code(base.code, n).words
+        assert (quo.nodes, quo.exact) == (base.nodes, base.exact)
+
+
+def test_free_middle_window_answers_without_the_full_graph():
+    # the full graph at n = 8 has 65,536 candidate words; the search runs
+    # at n = 2*t2 = 6 and lifts
+    r = max_code(4, 8, 1, 3, node_budget=1000)
+    assert (r.size, r.exact, r.method) == (6256, False, "quotient")
+    assert len(r.code.words) == 6256
+    assert verify_overlap_free(r.code, 1, 3) is None
 
 
 def test_is_maximal_examples():
