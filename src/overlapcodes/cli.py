@@ -15,19 +15,21 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from itertools import product
 from pathlib import Path
 
 from . import __version__
 from .bounds import bound_report
 from .channel import (CorruptionSpec, burst_range, corrupt, detection_offset,
                       encode_stream, scan_decode)
-from .constructions import (ConstructionSpec, claimed_windows, code_size_1k,
-                            non_overlapping_size, run_construction)
+from .constructions import (KINDS, ConstructionSpec, claimed_windows,
+                            code_size_1k, non_overlapping_size,
+                            run_construction)
 from .families import EnumerationBudgetExceeded, enumerate_families
 from .fileio import (FormatError, RunManifest, format_family, read_code,
                      read_family, sha256_digest, write_code, write_manifest)
 from .search import max_code
-from .words import verify_overlap_free
+from .words import DIGITS, verify_overlap_free
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -58,10 +60,38 @@ def _write_json(path: str | None, payload: dict, command: str, parameters: dict,
         _emit_manifest(path, command, parameters, seed, started)
 
 
+# construction_spec.v1.json: integer fields with their minimums, path fields
+SPEC_INTEGERS = {"n": 2, "k": 0, "t1": 1, "t2": 1}
+SPEC_PATHS = ("family", "code")
+
+
+def _check_spec(data) -> None:
+    """Raise ValueError unless data meets construction_spec.v1.json."""
+    if not isinstance(data, dict):
+        raise ValueError("construct: spec must be a JSON object")
+    unknown = sorted(set(data) - {"kind", *SPEC_INTEGERS, *SPEC_PATHS})
+    missing = [key for key in ("kind", "n") if key not in data]
+    if unknown or missing:
+        raise ValueError(f"construct: spec keys unknown {unknown}, "
+                         f"missing {missing}")
+    if data["kind"] not in list(KINDS):  # a list: the kind may be unhashable
+        raise ValueError(f"construct: kind must be one of {sorted(KINDS)}, "
+                         f"got {data['kind']!r}")
+    for key, low in SPEC_INTEGERS.items():
+        value = data.get(key, low)
+        if type(value) is not int or value < low:
+            raise ValueError(f"construct: {key!r} must be an integer >= {low}, "
+                             f"got {value!r}")
+    for key in SPEC_PATHS:
+        if not isinstance(data.get(key, ""), str):
+            raise ValueError(f"construct: {key!r} must be a path string")
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     started = time.time()
     spec_data = json.loads(Path(args.spec).read_text())
-    kind = spec_data.get("kind")
+    _check_spec(spec_data)
+    kind = spec_data["kind"]
     family = None
     base = None
     if "family" in spec_data:
@@ -263,13 +293,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.exhaustive:
         lo, hi = burst_range(c.n, t1, t2)
         limit = len(stream.symbols) - 3 * c.n
-        from itertools import product as iproduct
-
-        from .words import DIGITS
         for pos in range(0, max(0, limit) + 1):
             for b in range(lo, hi + 1):
                 specs.append(CorruptionSpec("delete", pos, b))
-                for sym in iproduct(DIGITS[: c.q], repeat=b):
+                for sym in product(DIGITS[: c.q], repeat=b):
                     specs.append(CorruptionSpec("insert", pos, b,
                                                 inserted="".join(sym)))
     else:

@@ -5,6 +5,11 @@ Each construction materializes a union of concatenation terms
 attaches the overlap window the result is guaranteed to satisfy.  Where the
 underlying theory asserts the union terms are disjoint, ``strict=True`` turns
 a duplicate into an error instead of a silent dedup.
+
+One generator, ``_t1t2_terms``, yields the layered terms; the (1, k) code is
+its t1 = 1 case and the non-overlapping code is the (1, n-1) code.  Each
+size formula is an independent oracle that shares its builder's argument
+checks.  ``KINDS`` gives each spec kind its fields, builder and windows.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ import warnings
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .families import PartitionFamily, checked, compositions
-from .words import DIGITS, CodeSet, check_window, code
+from .words import DIGITS, CodeSet, check_window, code, verify_overlap_free
 
 DEFAULT_MAX_WORDS = 10_000_000
 
@@ -64,116 +69,20 @@ def _require_depth(f: PartitionFamily, needed: int, label: str) -> None:
         raise ValueError(f"{label}: family depth {f.depth} < required {needed}")
 
 
-def non_overlapping(f: PartitionFamily, n: int, *, strict: bool = False,
-                    max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
-    """The layered code ``union(L_i R_{n-i} for i in [1, n-1])``; it is
-    overlap-free on the whole window (1, n-1)."""
+def _check_terms(f: PartitionFamily, n: int, t1: int, t2: int,
+                 label: str) -> None:
     checked(f)
-    if n < 2:
-        raise ValueError("block length must be >= 2")
-    _require_depth(f, n - 1, "non_overlapping")
-    terms = [(f.left(i), f.right(n - i)) for i in range(1, n)]
-    return _materialize(terms, q=f.q, n=n, window=(1, n - 1), strict=strict,
-                        max_words=max_words, label="non_overlapping")
-
-
-def non_overlapping_size(f: PartitionFamily, n: int) -> int:
-    checked(f)
-    _require_depth(f, n - 1, "non_overlapping_size")
-    return sum(len(f.left(i)) * len(f.right(n - i)) for i in range(1, n))
-
-
-def _one_k_terms(f: PartitionFamily, n: int, k: int,
-                 ) -> Iterator[tuple[frozenset[str], ...]]:
-    for s in range(k + 1, n + 1):
-        j_lo, j_hi = s - k, k
-        if j_lo > j_hi:
-            continue
-        for alpha in compositions(n - s):
-            for i in range(0, len(alpha) + 1):
-                for j in range(j_lo, j_hi + 1):
-                    yield (tuple(f.left(a) for a in alpha[:i])
-                           + (f.left(j), f.right(s - j))
-                           + tuple(f.right(a) for a in alpha[i:]))
-
-
-def _check_one_k(f: PartitionFamily, n: int, k: int, label: str) -> None:
-    checked(f)
-    if k < 1:
-        raise ValueError(f"{label}: k must be >= 1")
-    if n < k + 1:
-        raise ValueError(f"{label}: block length must be at least k+1")
-    # composition parts reach n-k-1, so the family must be that deep too
-    _require_depth(f, max(k, n - k - 1), label)
-
-
-def overlap_free_1k(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
-                    max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
-    """The (1, k)-overlap-free code built from all compositions of the slack
-    n - s around a central block ``L_j R_{s-j}`` with s in [k+1, n]."""
-    _check_one_k(f, n, k, "overlap_free_1k")
-    return _materialize(_one_k_terms(f, n, k), q=f.q, n=n, window=(1, k),
-                        strict=strict, max_words=max_words,
-                        label="overlap_free_1k")
-
-
-def code_size_1k(f: PartitionFamily, n: int, k: int) -> int:
-    """Size of overlap_free_1k by the product formula (terms are disjoint)."""
-    _check_one_k(f, n, k, "code_size_1k")
-    return sum(prod(len(s) for s in factors)
-               for factors in _one_k_terms(f, n, k))
-
-
-def wmu_expanded(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
-                 max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
-    """Expand a depth-(n-1) family into a weakly-mutually-uncorrelated code of
-    length n + k: ``union(L_i R_j Sigma^(n+k-i-j) for n <= i+j <= n+k)`` with
-    i, j in [1, n-1].  The result is (k+1, n+k-1)-overlap-free."""
-    checked(f)
-    if not 0 <= k <= n - 2:
-        raise ValueError("wmu_expanded: k must satisfy 0 <= k <= n-2")
-    _require_depth(f, n - 1, "wmu_expanded")
-    terms = [(f.left(i), f.right(j)) + _alphabet_factors(f.q, n + k - i - j)
-             for i in range(1, n)
-             for j in range(1, n)
-             if n <= i + j <= n + k]
-    return _materialize(terms, q=f.q, n=n + k, window=(k + 1, n + k - 1),
-                        strict=strict, max_words=max_words, label="wmu_expanded")
-
-
-def wmu_size(f: PartitionFamily, n: int, k: int) -> int:
-    checked(f)
-    if not 0 <= k <= n - 2:
-        raise ValueError("wmu_size: k must satisfy 0 <= k <= n-2")
-    _require_depth(f, n - 1, "wmu_size")
-    return sum(len(f.left(i)) * len(f.right(j)) * f.q ** (n + k - i - j)
-               for i in range(1, n)
-               for j in range(1, n)
-               if n <= i + j <= n + k)
-
-
-def pad_t1t2(x: CodeSet, t1: int, t2: int, *,
-             max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
-    """Append t1-1 free symbols to a (1, t2)-overlap-free code (a fully
-    non-overlapping one when t2 reaches past the base length); the result is
-    (t1, t2)-overlap-free at length ``x.n + t1 - 1``."""
-    from .words import verify_overlap_free
-
-    n = x.n + t1 - 1
     check_window(n, t1, t2)
-    base_t2 = min(t2, x.n - 1)
-    witness = verify_overlap_free(x, 1, base_t2)
-    if witness is not None:
-        raise ValueError(
-            f"pad_t1t2: base code is not (1,{base_t2})-overlap-free: prefix of "
-            f"{witness.u!r} is a suffix of {witness.v!r} at t={witness.t}")
-    terms = [(frozenset(x.words),) + _alphabet_factors(x.q, t1 - 1)]
-    return _materialize(terms, q=x.q, n=n, window=(t1, t2), strict=True,
-                        max_words=max_words, label="pad_t1t2")
+    if t1 + t2 > n:
+        raise ValueError(f"{label}: requires t1 + t2 <= n")
+    # composition parts reach n-t1-t2, so the family must be that deep too
+    _require_depth(f, max(t2, n - t1 - t2), label)
 
 
 def _t1t2_terms(f: PartitionFamily, n: int, t1: int, t2: int,
                 ) -> Iterator[tuple[frozenset[str], ...]]:
+    """The terms of the (1, t2) code of length n - pad, each followed by pad
+    free symbols, for pad in [0, t1-1]; t1 = 1 gives the (1, t2) code."""
     for pad in range(0, t1):
         sigma = _alphabet_factors(f.q, pad)
         for s in range(t1 + t2 - pad, n - pad + 1):
@@ -189,19 +98,100 @@ def _t1t2_terms(f: PartitionFamily, n: int, t1: int, t2: int,
                                + sigma)
 
 
+def non_overlapping(f: PartitionFamily, n: int, *, strict: bool = False,
+                    max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
+    """The layered code ``union(L_i R_{n-i} for i in [1, n-1])``; it is
+    overlap-free on the whole window (1, n-1)."""
+    if n < 2:
+        raise ValueError("block length must be >= 2")
+    return overlap_free_1k(f, n, n - 1, strict=strict, max_words=max_words)
+
+
+def non_overlapping_size(f: PartitionFamily, n: int) -> int:
+    _check_terms(f, n, 1, n - 1, "non_overlapping_size")
+    return sum(len(f.left(i)) * len(f.right(n - i)) for i in range(1, n))
+
+
+def overlap_free_1k(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
+                    max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
+    """The (1, k)-overlap-free code built from all compositions of the slack
+    n - s around a central block ``L_j R_{s-j}`` with s in [k+1, n]."""
+    _check_terms(f, n, 1, k, "overlap_free_1k")
+    return _materialize(_t1t2_terms(f, n, 1, k), q=f.q, n=n, window=(1, k),
+                        strict=strict, max_words=max_words,
+                        label="overlap_free_1k")
+
+
+def code_size_1k(f: PartitionFamily, n: int, k: int) -> int:
+    """Size of overlap_free_1k by the product formula (terms are disjoint)."""
+    _check_terms(f, n, 1, k, "code_size_1k")
+    return sum(prod(len(s) for s in factors)
+               for factors in _t1t2_terms(f, n, 1, k))
+
+
+def _check_wmu(f: PartitionFamily, n: int, k: int, label: str) -> None:
+    checked(f)
+    if not 0 <= k <= n - 2:
+        raise ValueError(f"{label}: k must satisfy 0 <= k <= n-2")
+    _require_depth(f, n - 1, label)
+
+
+def wmu_expanded(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
+                 max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
+    """Expand a depth-(n-1) family into a weakly-mutually-uncorrelated code of
+    length n + k: ``union(L_i R_j Sigma^(n+k-i-j) for n <= i+j <= n+k)`` with
+    i, j in [1, n-1].  The result is (k+1, n+k-1)-overlap-free."""
+    _check_wmu(f, n, k, "wmu_expanded")
+    terms = [(f.left(i), f.right(j)) + _alphabet_factors(f.q, n + k - i - j)
+             for i in range(1, n)
+             for j in range(1, n)
+             if n <= i + j <= n + k]
+    return _materialize(terms, q=f.q, n=n + k, window=(k + 1, n + k - 1),
+                        strict=strict, max_words=max_words, label="wmu_expanded")
+
+
+def wmu_size(f: PartitionFamily, n: int, k: int) -> int:
+    _check_wmu(f, n, k, "wmu_size")
+    return sum(len(f.left(i)) * len(f.right(j)) * f.q ** (n + k - i - j)
+               for i in range(1, n)
+               for j in range(1, n)
+               if n <= i + j <= n + k)
+
+
+def pad_t1t2(x: CodeSet, t1: int, t2: int, *,
+             max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
+    """Append t1-1 free symbols to a (1, t2)-overlap-free code (a fully
+    non-overlapping one when t2 reaches past the base length); the result is
+    (t1, t2)-overlap-free at length ``x.n + t1 - 1``."""
+    n = x.n + t1 - 1
+    check_window(n, t1, t2)
+    base_t2 = min(t2, x.n - 1)
+    witness = verify_overlap_free(x, 1, base_t2)
+    if witness is not None:
+        raise ValueError(
+            f"pad_t1t2: base code is not (1,{base_t2})-overlap-free: prefix of "
+            f"{witness.u!r} is a suffix of {witness.v!r} at t={witness.t}")
+    terms = [(frozenset(x.words),) + _alphabet_factors(x.q, t1 - 1)]
+    return _materialize(terms, q=x.q, n=n, window=(t1, t2), strict=True,
+                        max_words=max_words, label="pad_t1t2")
+
+
 def t1t2_expanded(f: PartitionFamily, n: int, t1: int, t2: int, *,
                   strict: bool = False,
                   max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
     """The (t1, t2)-overlap-free expansion that layers free tails of every
     length below t1 over the (1, t2) construction.  Requires t1 + t2 <= n."""
-    checked(f)
-    check_window(n, t1, t2)
-    if t1 + t2 > n:
-        raise ValueError("t1t2_expanded: requires t1 + t2 <= n")
-    _require_depth(f, max(t2, n - t1 - t2), "t1t2_expanded")
+    _check_terms(f, n, t1, t2, "t1t2_expanded")
     return _materialize(_t1t2_terms(f, n, t1, t2), q=f.q, n=n, window=(t1, t2),
                         strict=strict, max_words=max_words,
                         label="t1t2_expanded")
+
+
+def _check_simultaneous(f: PartitionFamily, n: int, k: int, label: str) -> None:
+    checked(f)
+    if not 1 <= k or not 2 * k < n:
+        raise ValueError(f"{label}: requires 1 <= k < n/2")
+    _require_depth(f, k, label)
 
 
 def simultaneous(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
@@ -209,23 +199,17 @@ def simultaneous(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
     """A code that is both (1, k)- and (n-k, n-1)-overlap-free: the length
     k+1 layered code, a free middle, and every composition of k as an R-tail.
     Requires k < n/2."""
-    checked(f)
-    if not 1 <= k or not 2 * k < n:
-        raise ValueError("simultaneous: requires 1 <= k < n/2")
-    _require_depth(f, k, "simultaneous")
-    x = non_overlapping(f, k + 1, strict=strict, max_words=max_words)
+    _check_simultaneous(f, n, k, "simultaneous")
     middle = _alphabet_factors(f.q, n - 2 * k - 1)
-    terms = [(frozenset(x.words),) + middle + tuple(f.right(a) for a in alpha)
+    terms = [head + middle + tuple(f.right(a) for a in alpha)
+             for head in _t1t2_terms(f, k + 1, 1, k)
              for alpha in compositions(k)]
     return _materialize(terms, q=f.q, n=n, window=(1, k), strict=strict,
                         max_words=max_words, label="simultaneous")
 
 
 def simultaneous_size(f: PartitionFamily, n: int, k: int) -> int:
-    checked(f)
-    if not 1 <= k or not 2 * k < n:
-        raise ValueError("simultaneous_size: requires 1 <= k < n/2")
-    _require_depth(f, k, "simultaneous_size")
+    _check_simultaneous(f, n, k, "simultaneous_size")
     base = non_overlapping_size(f, k + 1)
     tails = sum(prod(len(f.right(a)) for a in alpha) for alpha in compositions(k))
     return base * f.q ** (n - 2 * k - 1) * tails
@@ -273,69 +257,59 @@ class ConstructionSpec:
     t1: int | None = None
     t2: int | None = None
 
-    KINDS = ("NonOverlapping", "OneK", "WMU", "PadT1T2", "ExpandedT1T2",
-             "Simultaneous")
+
+def _pad_spec(s: ConstructionSpec, **kw) -> CodeSet:
+    base = s.base_code
+    if base is None:
+        if s.family is None:
+            raise ValueError("PadT1T2 requires a family or a base code")
+        base_n = s.n - s.t1 + 1
+        base = overlap_free_1k(s.family, base_n, min(s.t2, base_n - 1), **kw)
+    return pad_t1t2(base, s.t1, s.t2, max_words=kw["max_words"])
+
+
+class Kind(NamedTuple):
+    fields: tuple[str, ...]  # spec fields that must not be None
+    build: Callable[..., CodeSet]  # (spec, *, strict, max_words)
+    windows: Callable[[ConstructionSpec], list[tuple[int, int]]]
+
+
+KINDS: dict[str, Kind] = {
+    "NonOverlapping": Kind(
+        ("family",), lambda s, **kw: non_overlapping(s.family, s.n, **kw),
+        lambda s: [(1, s.n - 1)]),
+    "OneK": Kind(
+        ("family", "k"), lambda s, **kw: overlap_free_1k(s.family, s.n, s.k, **kw),
+        lambda s: [(1, s.k)]),
+    "WMU": Kind(
+        ("family", "k"), lambda s, **kw: wmu_expanded(s.family, s.n, s.k, **kw),
+        lambda s: [(s.k + 1, s.n + s.k - 1)]),
+    "PadT1T2": Kind(("t1", "t2"), _pad_spec, lambda s: [(s.t1, s.t2)]),
+    "ExpandedT1T2": Kind(
+        ("family", "t1", "t2"),
+        lambda s, **kw: t1t2_expanded(s.family, s.n, s.t1, s.t2, **kw),
+        lambda s: [(s.t1, s.t2)]),
+    "Simultaneous": Kind(
+        ("family", "k"), lambda s, **kw: simultaneous(s.family, s.n, s.k, **kw),
+        lambda s: [(1, s.k), (s.n - s.k, s.n - 1)]),
+}
+
+
+def _kind(spec: ConstructionSpec) -> Kind:
+    kind = KINDS.get(spec.kind)
+    if kind is None:
+        raise ValueError(f"unknown construction kind {spec.kind!r}")
+    missing = [name for name in kind.fields if getattr(spec, name) is None]
+    if missing:
+        raise ValueError(f"{spec.kind} requires {', '.join(missing)}")
+    return kind
 
 
 def claimed_windows(spec: ConstructionSpec) -> list[tuple[int, int]]:
     """The overlap windows the construction output is guaranteed to satisfy."""
-    if spec.kind == "NonOverlapping":
-        return [(1, spec.n - 1)]
-    if spec.kind == "OneK":
-        return [(1, spec.k)]
-    if spec.kind == "WMU":
-        total = spec.n + spec.k
-        return [(spec.k + 1, total - 1)]
-    if spec.kind in ("PadT1T2", "ExpandedT1T2"):
-        return [(spec.t1, spec.t2)]
-    if spec.kind == "Simultaneous":
-        return [(1, spec.k), (spec.n - spec.k, spec.n - 1)]
-    raise ValueError(f"unknown construction kind {spec.kind!r}")
+    return _kind(spec).windows(spec)
 
 
 def run_construction(spec: ConstructionSpec, *, strict: bool = False,
                      max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
-    kind = spec.kind
-    if kind not in ConstructionSpec.KINDS:
-        raise ValueError(f"unknown construction kind {kind!r}")
-    if kind == "PadT1T2":
-        if spec.t1 is None or spec.t2 is None:
-            raise ValueError("PadT1T2 requires t1 and t2")
-        base = spec.base_code
-        if base is None:
-            if spec.family is None:
-                raise ValueError("PadT1T2 requires a family or a base code")
-            base_n = spec.n - spec.t1 + 1
-            if spec.t2 < base_n:
-                base = overlap_free_1k(spec.family, base_n, spec.t2,
-                                       strict=strict, max_words=max_words)
-            else:
-                base = non_overlapping(spec.family, base_n, strict=strict,
-                                       max_words=max_words)
-        return pad_t1t2(base, spec.t1, spec.t2, max_words=max_words)
-    if spec.family is None:
-        raise ValueError(f"{kind} requires a family")
-    if kind == "NonOverlapping":
-        return non_overlapping(spec.family, spec.n, strict=strict,
-                               max_words=max_words)
-    if kind == "OneK":
-        if spec.k is None:
-            raise ValueError("OneK requires k")
-        return overlap_free_1k(spec.family, spec.n, spec.k, strict=strict,
-                               max_words=max_words)
-    if kind == "WMU":
-        if spec.k is None:
-            raise ValueError("WMU requires k")
-        return wmu_expanded(spec.family, spec.n, spec.k, strict=strict,
-                            max_words=max_words)
-    if kind == "ExpandedT1T2":
-        if spec.t1 is None or spec.t2 is None:
-            raise ValueError("ExpandedT1T2 requires t1 and t2")
-        return t1t2_expanded(spec.family, spec.n, spec.t1, spec.t2,
-                             strict=strict, max_words=max_words)
-    if kind == "Simultaneous":
-        if spec.k is None:
-            raise ValueError("Simultaneous requires k")
-        return simultaneous(spec.family, spec.n, spec.k, strict=strict,
-                            max_words=max_words)
-    raise AssertionError("unreachable")
+    return _kind(spec).build(spec, strict=strict, max_words=max_words)

@@ -9,6 +9,7 @@ generate every code construction in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Literal, Sequence
 
 from .words import DIGITS, CodeSet, check_alphabet, check_word, verify_overlap_free
@@ -37,6 +38,10 @@ class PartitionFamily:
 
     def level_sizes(self) -> list[tuple[int, int]]:
         return [(len(l), len(r)) for l, r in self.levels]
+
+    @cached_property
+    def _problem(self) -> str | None:
+        return validate(self)  # the family is immutable: validate it once
 
 
 def family(q: int, levels: Sequence[tuple]) -> PartitionFamily:
@@ -68,14 +73,9 @@ def validate(f: PartitionFamily) -> str | None:
     if f.depth < 1:
         return "family must have depth >= 1"
     for i in range(1, f.depth + 1):
+        # comparing against the alphabet or the concatenation layer also
+        # checks each word's length and symbols
         li, ri = f.left(i), f.right(i)
-        for w in li | ri:
-            if len(w) != i:
-                return f"level {i}: word {w!r} does not have length {i}"
-            try:
-                check_word(w, f.q)
-            except ValueError as exc:
-                return f"level {i}: {exc}"
         if li & ri:
             return f"level {i}: L{i} and R{i} intersect in {sorted(li & ri)}"
         if i == 1:
@@ -96,7 +96,8 @@ def validate(f: PartitionFamily) -> str | None:
 
 
 def checked(f: PartitionFamily) -> PartitionFamily:
-    problem = validate(f)
+    """f itself if it is valid, else ValueError; validates f at most once."""
+    problem = f._problem
     if problem is not None:
         raise ValueError(f"invalid partition family: {problem}")
     return f
@@ -271,7 +272,6 @@ def family_from_code(c: CodeSet, k: int) -> PartitionFamily:
             prefixes.add(w[:t])
     l1 = frozenset(ch for ch in DIGITS[: c.q] if ch in prefixes)
     levels = [(l1, frozenset(DIGITS[: c.q]) - l1)]
-    f = PartitionFamily(q=c.q, levels=tuple(levels))
     for i in range(2, k + 1):
         ground = concat_layer(PartitionFamily(c.q, tuple(levels)), i)
         li = frozenset(x for x in ground if x in prefixes)

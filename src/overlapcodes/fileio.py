@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .families import PartitionFamily, family
+from .families import PartitionFamily, checked, family
 from .words import CodeSet, code
 
 
@@ -101,13 +101,10 @@ def parse_family(text: str, path: str = "<string>") -> PartitionFamily:
         sets.setdefault(tag, set()).update(rest.split())
     levels = [(sets.get(f"L{i}", set()), sets.get(f"R{i}", set()))
               for i in range(1, k + 1)]
-    f = family(q, levels)
-    from .families import validate
-
-    problem = validate(f)
-    if problem is not None:
-        raise FormatError(f"{path}: invalid family: {problem}")
-    return f
+    try:
+        return checked(family(q, levels))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def read_family(path: str | Path) -> PartitionFamily:

@@ -29,7 +29,7 @@ from itertools import product as iproduct
 from typing import Iterator
 
 from .constructions import lift_code, overlap_free_1k
-from .families import PartitionFamily, checked
+from .families import PartitionFamily, checked, family_from_code
 from .words import (DIGITS, CodeSet, all_words, check_alphabet, check_window,
                     code, self_compatible, verify_overlap_free)
 
@@ -602,8 +602,6 @@ def all_maximal_from_construction(q: int, n: int, k: int, *,
     Returns the first counterexample, or None.  max_codes caps the
     enumeration (in its deterministic order) where the full population is
     too large to sweep."""
-    from .families import family_from_code
-
     if 2 * k < n:
         raise ValueError("all_maximal_from_construction: requires k >= n/2")
     for i, c in enumerate(enumerate_maximal_codes(q, n, 1, k,

@@ -64,7 +64,10 @@ class CodeSet:
         for w in self.words:
             if len(w) != self.n:
                 raise ValueError(f"word {w!r} does not have length {self.n}")
-            check_word(w, self.q)
+        bad = set().union(*self.words) - set(DIGITS[: self.q])
+        if bad:
+            raise ValueError(f"symbol {min(bad)!r} not in alphabet of size "
+                             f"{self.q}")
         if self.window is not None:
             check_window(self.n, *self.window)
 

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 from jsonschema import validate as schema_validate
 
-from overlapcodes.cli import main
+from overlapcodes.cli import SPEC_INTEGERS, SPEC_PATHS, main
+from overlapcodes.constructions import KINDS
 from overlapcodes.fileio import read_code, write_code, write_family
 from overlapcodes.families import family
 from overlapcodes.words import code
@@ -64,6 +65,81 @@ def test_construct_pad_from_code(tmp_path):
     rc = main(["construct", "--spec", str(spec_path), "--out", str(out)])
     assert rc == 0
     assert read_code(out).sorted_words() == ["0010", "0011"]
+
+
+def run_spec(tmp_path, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out.txt"
+    rc = main(["construct", "--spec", str(spec_path), "--out", str(out),
+               "--report", str(tmp_path / "report.json")])
+    return rc, out
+
+
+def test_construct_spec_must_be_object(tmp_path, capsys):
+    rc, out = run_spec(tmp_path, [{"kind": "OneK", "n": 4}])
+    assert rc == 2 and not out.exists()
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_construct_spec_rejects_unknown_key(tmp_path, family_file, capsys):
+    rc, out = run_spec(tmp_path, {"kind": "OneK", "n": 4, "k": 2, "K": 3,
+                                  "family": str(family_file)})
+    assert rc == 2 and not out.exists()
+    assert "'K'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["Bogus", ["OneK"], None])
+def test_construct_spec_rejects_unknown_kind(tmp_path, family_file, capsys,
+                                             kind):
+    rc, out = run_spec(tmp_path, {"kind": kind, "n": 4,
+                                  "family": str(family_file)})
+    assert rc == 2 and not out.exists()
+    assert f"got {kind!r}" in capsys.readouterr().err
+
+
+def test_construct_spec_requires_n(tmp_path, family_file, capsys):
+    rc, out = run_spec(tmp_path, {"kind": "OneK", "k": 2,
+                                  "family": str(family_file)})
+    assert rc == 2 and not out.exists()
+    assert "missing ['n']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("n", "4"), ("k", True), ("k", 2.0),
+                                       ("t1", None)])
+def test_construct_spec_rejects_non_integer(tmp_path, family_file, capsys,
+                                            key, value):
+    spec = {"kind": "OneK", "n": 4, "k": 2, "family": str(family_file)}
+    spec[key] = value
+    rc, out = run_spec(tmp_path, spec)
+    assert rc == 2 and not out.exists()
+    assert f"'{key}' must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("n", 1), ("k", -1), ("t1", 0),
+                                       ("t2", 0)])
+def test_construct_spec_enforces_minimums(tmp_path, family_file, capsys,
+                                          key, value):
+    spec = {"kind": "OneK", "n": 4, "k": 2, "family": str(family_file)}
+    spec[key] = value
+    rc, out = run_spec(tmp_path, spec)
+    assert rc == 2 and not out.exists()
+    assert f"'{key}' must be an integer" in capsys.readouterr().err
+    # the same spec breaks the schema the CLI mirrors
+    with pytest.raises(Exception):
+        schema_validate(spec, load_schema("construction_spec.v1.json"))
+
+
+def test_construct_spec_check_mirrors_schema():
+    schema = load_schema("construction_spec.v1.json")
+    props = schema["properties"]
+    assert set(props) == {"kind", *SPEC_INTEGERS, *SPEC_PATHS}
+    assert set(props["kind"]["enum"]) == set(KINDS)
+    assert set(schema["required"]) == {"kind", "n"}
+    for key, low in SPEC_INTEGERS.items():
+        assert props[key] == {**props[key], "type": "integer", "minimum": low}
+    for key in SPEC_PATHS:
+        assert props[key]["type"] == "string"
 
 
 def test_verify_exit_codes(tmp_path):

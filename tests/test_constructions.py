@@ -1,6 +1,6 @@
 import pytest
 
-from overlapcodes.constructions import (CodeTooLarge, ConstructionSpec,
+from overlapcodes.constructions import (KINDS, CodeTooLarge, ConstructionSpec,
                                         DisjointnessViolation, claimed_windows,
                                         code_size_1k, lift_code,
                                         non_overlapping, non_overlapping_size,
@@ -257,3 +257,49 @@ def test_run_construction_dispatch():
 
     with pytest.raises(ValueError):
         run_construction(ConstructionSpec(kind="Bogus", n=3))
+
+
+DEPTH3 = family(2, [({"0"}, {"1"}), (set(), {"01"}), (set(), {"001"})])
+KIND_EXAMPLES = {
+    "NonOverlapping": dict(n=4, family=DEPTH3),
+    "OneK": dict(n=5, family=DEPTH3, k=2),
+    "WMU": dict(n=4, family=DEPTH3, k=1),
+    "PadT1T2": dict(n=5, family=DEPTH3, t1=2, t2=2),
+    "ExpandedT1T2": dict(n=5, family=DEPTH3, t1=2, t2=2),
+    "Simultaneous": dict(n=5, family=DEPTH3, k=2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_kind_verifies_its_claimed_windows(kind):
+    spec = ConstructionSpec(kind=kind, **KIND_EXAMPLES[kind])
+    c = run_construction(spec, strict=kind != "ExpandedT1T2")
+    assert len(c) > 0
+    windows = claimed_windows(spec)
+    assert windows
+    for t1, t2 in windows:
+        assert_window(c, t1, t2)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_missing_field_is_named(kind):
+    for field in KINDS[kind].fields:
+        spec = ConstructionSpec(kind=kind, **{
+            **KIND_EXAMPLES[kind], field: None})
+        with pytest.raises(ValueError, match=f"{kind} requires {field}"):
+            run_construction(spec)
+        with pytest.raises(ValueError, match=field):
+            claimed_windows(spec)
+
+
+def test_pad_needs_family_or_code():
+    spec = ConstructionSpec(kind="PadT1T2", n=5, t1=2, t2=2)
+    with pytest.raises(ValueError, match="family or a base code"):
+        run_construction(spec)
+
+
+def test_pad_from_family_matches_layered_base():
+    # a window reaching past the base length pads the non-overlapping code
+    spec = ConstructionSpec(kind="PadT1T2", n=5, family=DEPTH3, t1=2, t2=3)
+    assert run_construction(spec).words == pad_t1t2(
+        non_overlapping(DEPTH3, 4), 2, 3).words

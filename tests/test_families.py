@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overlapcodes import families
 from overlapcodes.families import (EnumerationBudgetExceeded, balanced_family,
-                                   compositions, concat_layer, decompose,
-                                   enumerate_families, family,
+                                   checked, compositions, concat_layer,
+                                   decompose, enumerate_families, family,
                                    family_from_code, validate)
 from overlapcodes.words import code
 
@@ -22,10 +23,52 @@ def test_validate_names_failing_level():
     assert problem is not None and "level 2" in problem and "12" in problem
 
 
+def count_level_checks(monkeypatch):
+    calls = []
+    real = families.concat_layer
+
+    def counting(f, i):
+        calls.append(i)
+        return real(f, i)
+
+    monkeypatch.setattr(families, "concat_layer", counting)
+    return calls
+
+
+def test_checked_validates_each_family_once(monkeypatch):
+    calls = count_level_checks(monkeypatch)
+    f = family(3, [({"0", "1"}, {"2"}), ({"02"}, {"12"})])
+    assert checked(f) is f
+    assert calls == [2]
+    assert checked(f) is f
+    assert calls == [2]
+    # an equal but separate object is validated on its own
+    checked(family(3, [({"0", "1"}, {"2"}), ({"02"}, {"12"})]))
+    assert calls == [2, 2]
+
+
+def test_invalid_family_fails_on_every_call(monkeypatch):
+    calls = count_level_checks(monkeypatch)
+    broken = family(3, [({"0", "1"}, {"2"}), ({"02"}, set())])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="level 2"):
+            checked(broken)
+    assert calls == [2]
+
+
 def test_validate_empty_side_level_one():
     broken = family(2, [(set(), {"0", "1"})])
     problem = validate(broken)
     assert problem is not None and "level 1" in problem
+
+
+def test_validate_names_level_of_foreign_word():
+    assert "level 1" in validate(family(2, [({"0"}, {"1", "2"})]))
+    assert "level 1" in validate(family(2, [({"0"}, {"1", "11"})]))
+    bad = validate(family(2, [({"0"}, {"1"}), ({"02"}, {"01"})]))
+    assert "level 2" in bad and "'02'" in bad
+    short = validate(family(2, [({"0"}, {"1"}), (set(), {"01", "1"})]))
+    assert "level 2" in short and "'1'" in short
 
 
 def test_validate_rejects_overlap():

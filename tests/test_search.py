@@ -12,14 +12,30 @@ from overlapcodes.words import (DIGITS, all_words, code, overlap_lengths,
 
 
 def brute_max_size(q, n, t1, t2):
-    """Independent exhaustive max-clique over candidate masks (tiny scale)."""
+    """Independent exhaustive max-clique over candidate masks (tiny scale).
+
+    A clique holds at most one end of each non-adjacent pair, so |cand|
+    minus a greedy matching of such pairs bounds what cand can still add.
+    """
     g = build_graph(q, n, t1, t2)
     adj = g.adjacency
     best = 0
 
+    def bound(cand):
+        pairs = 0
+        rest = cand
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            missing = rest & ~adj[v]
+            if missing:
+                rest &= ~(missing & -missing)
+                pairs += 1
+        return cand.bit_count() - pairs
+
     def grow(cand, size):
         nonlocal best
-        if size + cand.bit_count() <= best:
+        if size + bound(cand) <= best:
             return
         if cand == 0:
             best = max(best, size)

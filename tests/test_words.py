@@ -122,7 +122,7 @@ def test_divisors():
 
 
 def test_codeset_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'2' not in alphabet"):
         code(2, 3, {"012"})  # symbol 2 outside binary alphabet
     with pytest.raises(ValueError):
         code(2, 3, {"01"})  # wrong length
