@@ -124,11 +124,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if ok:
         write_code(result, args.out, comment=f"{kind} construction")
         _emit_manifest(args.out, "construct", spec_data, args.seed, started)
-    if args.report:
-        _write_json(args.report, report, "construct", spec_data, args.seed,
-                    started)
-    else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(args.report, report, "construct", spec_data, args.seed, started)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -277,10 +273,34 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_edits(data) -> None:
+    """Raise ValueError unless data is a simulate --edits object; type() is
+    compared so that a bool is not taken for an integer."""
+    if not isinstance(data, dict):
+        raise ValueError("simulate: edits file must be a JSON object")
+    message = data.get("message")
+    if not (isinstance(message, list)
+            and all(type(i) is int for i in message)):
+        raise ValueError(f"simulate: 'message' must be a list of integers, "
+                         f"got {message!r}")
+    window = data.get("window")
+    if not (isinstance(window, list) and len(window) == 2
+            and all(type(t) is int for t in window)):
+        raise ValueError(f"simulate: 'window' must hold two integers, "
+                         f"got {window!r}")
+    edits = data.get("edits", [])
+    if not (isinstance(edits, list)
+            and all(isinstance(e, dict) and type(e.get("position")) is int
+                    and type(e.get("burst_length")) is int for e in edits)):
+        raise ValueError("simulate: 'edits' must be a list of objects with "
+                         "integer 'position' and 'burst_length'")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     started = time.time()
     c = read_code(args.code)
     edits_data = json.loads(Path(args.edits).read_text())
+    _check_edits(edits_data)
     message = edits_data["message"]
     t1, t2 = edits_data["window"]
     witness = verify_overlap_free(c, t1, t2)

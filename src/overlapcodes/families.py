@@ -36,9 +36,6 @@ class PartitionFamily:
         """R_i (1-based level index)."""
         return self.levels[i - 1][1]
 
-    def level_sizes(self) -> list[tuple[int, int]]:
-        return [(len(l), len(r)) for l, r in self.levels]
-
     @cached_property
     def _problem(self) -> str | None:
         return validate(self)  # the family is immutable: validate it once

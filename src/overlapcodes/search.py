@@ -17,27 +17,28 @@ desk-scale parameter space:
                    x S with the prefix sets of P disjoint from the suffix sets
                    of S level by level; enumerate the level splits directly.
 * ``classcount`` - for t1 = t2 = t and n < 2t a code is a split of Sigma^t
-                   into prefix and suffix sides; its size only depends on how
-                   many strings each (head-key, tail-key) class gives the
-                   prefix side, so enumerate those counts.
+                   into prefix and suffix sides; once the number of prefix
+                   strings per head key is fixed, each head key fills the
+                   tail keys with the fewest prefix strings first, so walk
+                   the non-decreasing row-sum tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from typing import Iterator
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator
 
 from .constructions import lift_code, overlap_free_1k
 from .families import PartitionFamily, checked, family_from_code
-from .words import (DIGITS, CodeSet, all_words, check_alphabet, check_window,
-                    code, self_compatible, verify_overlap_free)
+from .words import (CodeSet, all_words, check_alphabet, check_window, code,
+                    self_compatible, verify_overlap_free)
 
 DEFAULT_NODE_BUDGET = 20_000_000
 DEFAULT_VERTEX_CAP = 1 << 20
 _RECTANGLE_ASSIGNMENT_CAP = 1 << 13
 _RECTANGLE_SIDE_CAP = 1 << 12
-_CLASSCOUNT_CAP = 1 << 20
+_CLASSCOUNT_CAP = 1 << 12
 
 
 class SearchBudgetExceeded(Exception):
@@ -53,8 +54,22 @@ class CompatibilityGraph:
     vertices: tuple[str, ...]
     adjacency: tuple[int, ...]
 
-    def index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.vertices)}
+    def words(self, mask: int) -> set[str]:
+        """The vertices whose bits are set in mask."""
+        words = set()
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            words.add(self.vertices[low.bit_length() - 1])
+        return words
+
+    def extensions(self, words: Iterable[str]) -> int:
+        """Mask of the vertices adjacent to every one of words."""
+        index = {w: i for i, w in enumerate(self.vertices)}
+        cand = (1 << len(self.vertices)) - 1
+        for w in words:
+            cand &= self.adjacency[index[w]]
+        return cand
 
 
 def build_graph(q: int, n: int, t1: int, t2: int, *,
@@ -181,10 +196,9 @@ def _rectangle_max(q: int, t1: int, t2: int) -> tuple[int, list[str], list[str]]
     Enumerates the claimed prefix sets for levels t1 .. t2-1 and closes the
     top level in closed form.
     """
-    side = ["".join(p) for p in iproduct(DIGITS[:q], repeat=t2)]
+    side = list(all_words(q, t2))
     lower = list(range(t1, t2))
-    level_words = {t: ["".join(p) for p in iproduct(DIGITS[:q], repeat=t)]
-                   for t in lower}
+    level_words = {t: list(all_words(q, t)) for t in lower}
     best = (-1, [], [])
 
     def close_top(claimed: dict[str, bool]) -> None:
@@ -228,12 +242,15 @@ def _classcount_feasible(q: int, n: int, t1: int, t2: int) -> bool:
     head = 2 * t2 - n
     if 2 * head > t2:
         return False  # head and tail regions overlap inside a word
-    classes = q ** head * q ** head
-    mult = q ** (t2 - 2 * head)
-    try:
-        return (mult + 1) ** classes <= _CLASSCOUNT_CAP
-    except OverflowError:
-        return False
+    if t2 - head >= _CLASSCOUNT_CAP.bit_length():
+        return False  # the walk has over cap >= 2^(t2 - head) tuples
+    keys, cap = q ** head, q ** (t2 - head)
+    walk = 1  # C(cap + keys, keys) row-sum tuples, until it passes the cap
+    for i in range(1, keys + 1):
+        walk = walk * (cap + i) // i
+        if walk > _CLASSCOUNT_CAP:
+            return False
+    return True
 
 
 def _classcount_max(q: int, n: int, t: int) -> tuple[int, set[str]]:
@@ -241,42 +258,35 @@ def _classcount_max(q: int, n: int, t: int) -> tuple[int, set[str]]:
 
     A code is a pair (P, S) of disjoint subsets of Sigma^t (realized prefixes
     and suffixes); its size is the number of words gluing some x in P to some
-    y in S over their shared length-(2t - n) key.  The count only depends on
-    how many strings each (head-key, tail-key) class contributes to P, and
-    the suffix side always takes everything P leaves behind.
+    y in S over their shared length-(2t - n) key, and S takes everything P
+    leaves behind.  With r_k strings of P under head key k, the size is
+    sum_k col_k * (cap - r_k), where col_k counts the strings of P under
+    tail key k: linear in the class counts once r is fixed, so each head key
+    fills the tail keys with the smallest r first.  Relabelling the keys
+    permutes r, so only non-decreasing r are walked.
     """
     head = 2 * t - n
-    mult = q ** (t - 2 * head)
-    keys = ["".join(p) for p in iproduct(DIGITS[:q], repeat=head)]
-    a_count = len(keys)
-    cap = a_count * mult  # strings per head key (= per tail key)
+    mult = q ** (t - 2 * head)  # strings per (head-key, tail-key) class
+    keys = list(all_words(q, head))
+    cap = len(keys) * mult  # strings per head key (= per tail key)
 
-    best_val = -1
-    best_flat: tuple[int, ...] = ()
-    for flat in iproduct(range(mult + 1), repeat=a_count * a_count):
-        row = [0] * a_count
-        col = [0] * a_count
-        pos = 0
-        for a in range(a_count):
-            for b in range(a_count):
-                v = flat[pos]
-                pos += 1
-                if v:
-                    row[a] += v
-                    col[b] += v
-        val = sum(col[k] * (cap - row[k]) for k in range(a_count))
+    def counts(rows: tuple[int, ...]) -> list[list[int]]:
+        return [[min(mult, max(0, r - b * mult)) for b in range(len(keys))]
+                for r in rows]
+
+    best_val, best_rows = -1, ()
+    for rows in combinations_with_replacement(range(cap + 1), len(keys)):
+        val = sum(c * (cap - rows[b])
+                  for row in counts(rows) for b, c in enumerate(row))
         if val > best_val:
-            best_val, best_flat = val, flat
+            best_val, best_rows = val, rows
 
-    middles = ["".join(p) for p in iproduct(DIGITS[:q], repeat=t - 2 * head)]
+    middles = list(all_words(q, t - 2 * head))
     p_side: set[str] = set()
     s_side: set[str] = set()
-    pos = 0
-    for a, ka in enumerate(keys):
-        for b, kb in enumerate(keys):
-            taken = best_flat[pos]
-            pos += 1
-            strings = sorted(ka + mid + kb for mid in middles)
+    for ka, row in zip(keys, counts(best_rows)):
+        for kb, taken in zip(keys, row):
+            strings = [ka + mid + kb for mid in middles]
             p_side.update(strings[:taken])
             s_side.update(strings[taken:])
     words = {x + y[head:]
@@ -334,11 +344,7 @@ def max_code(q: int, n: int, t1: int, t2: int, *,
         graph = build_graph(q, base_n, t1, t2, vertex_cap=vertex_cap)
         value, mask, nodes, exact = _MaxClique(graph.adjacency,
                                                node_budget).solve()
-        words = set()
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            words.add(graph.vertices[low.bit_length() - 1])
+        words = graph.words(mask)
     if len(words) != value:
         raise AssertionError(f"{used} witness disagrees with its size")
     size = value * q ** (n - base_n)
@@ -361,10 +367,7 @@ def extension_word(c: CodeSet, t1: int, t2: int,
         raise ValueError("code does not verify its window")
     if graph is None:
         graph = build_graph(c.q, c.n, t1, t2)
-    index = graph.index()
-    cand = (1 << len(graph.vertices)) - 1
-    for w in c.words:
-        cand &= graph.adjacency[index[w]]
+    cand = graph.extensions(c.words)
     if cand == 0:
         return None
     return graph.vertices[(cand & -cand).bit_length() - 1]
@@ -382,17 +385,13 @@ def greedy_complete(c: CodeSet, t1: int, t2: int,
         raise ValueError("code does not verify its window")
     if graph is None:
         graph = build_graph(c.q, c.n, t1, t2)
-    index = graph.index()
-    cand = (1 << len(graph.vertices)) - 1
-    for w in c.words:
-        cand &= graph.adjacency[index[w]]
-    words = set(c.words)
+    cand = graph.extensions(c.words)
+    picked = 0
     while cand:
         low = cand & -cand
-        v = low.bit_length() - 1
-        words.add(graph.vertices[v])
-        cand &= graph.adjacency[v]
-    return code(c.q, c.n, words, (t1, t2))
+        picked |= low
+        cand &= graph.adjacency[low.bit_length() - 1]
+    return code(c.q, c.n, c.words | graph.words(picked), (t1, t2))
 
 
 def enumerate_maximal_codes(q: int, n: int, t1: int, t2: int, *,
@@ -432,13 +431,7 @@ def enumerate_maximal_codes(q: int, n: int, t1: int, t2: int, *,
     if m == 0:
         return
     for mask in bk(0, (1 << m) - 1, 0):
-        words = set()
-        picked = mask
-        while picked:
-            low = picked & -picked
-            picked &= ~low
-            words.add(graph.vertices[low.bit_length() - 1])
-        yield code(q, n, words, (t1, t2))
+        yield code(q, n, graph.words(mask), (t1, t2))
 
 
 @dataclass(frozen=True)
@@ -538,52 +531,34 @@ def binary_edge_check(f: PartitionFamily, n: int, k: int) -> EdgeCaseReport:
         detail="" if failure is None else f"level {failure[0]}: {failure[1]!r}"))
 
     (u,) = mid
-    if u in f.left(half) and u not in prefixes:
+    # (clause, label, level accessor, realized set, concatenation order)
+    sides = (("ii", "L", f.left, prefixes, lambda y, z: y + z),
+             ("iii", "R", f.right, suffixes, lambda y, z: z + y))
+    for clause, label, level, realized, join in sides:
+        if u not in level(half) or u in realized:
+            continue
         for j in range(2, k - half + 1):
-            for y in sorted(f.left(j)):
-                word = y + u
+            for y in sorted(level(j)):
+                word = join(y, u)
                 clauses.append(EdgeCaseClause(
-                    clause="ii", holds=word in prefixes,
-                    detail=f"L{j}*L{half} word {word!r}"))
+                    clause=clause, holds=word in realized,
+                    detail=f"{label}{j} with {label}{half} word {word!r}"))
         if k > half:
-            l1_words = [y + u for y in sorted(f.left(1))]
-            direct = all(word in prefixes for word in l1_words)
-            if direct:
+            one_words = [join(y, u) for y in sorted(level(1))]
+            if all(word in realized for word in one_words):
                 clauses.append(EdgeCaseClause(
-                    clause="ii", holds=True, detail="L1*Lhalf realized"))
+                    clause=clause, holds=True,
+                    detail=f"{label}1 with {label}{half} realized"))
             else:
-                ok = len(f.left(half - 1)) == 0
-                detail = "L1*Lhalf unrealized; checking the chain"
-                if ok:
-                    for j in range(1, k - half):
-                        for y in sorted(f.left(j)):
-                            for z in l1_words:
-                                word = y + z
-                                ok = ok and word in prefixes
-                clauses.append(EdgeCaseClause(clause="ii", holds=ok, detail=detail))
-    if u in f.right(half) and u not in suffixes:
-        for j in range(2, k - half + 1):
-            for y in sorted(f.right(j)):
-                word = u + y
+                ok = len(level(half - 1)) == 0 and all(
+                    join(y, z) in realized
+                    for j in range(1, k - half)
+                    for y in level(j)
+                    for z in one_words)
                 clauses.append(EdgeCaseClause(
-                    clause="iii", holds=word in suffixes,
-                    detail=f"R{half}*R{j} word {word!r}"))
-        if k > half:
-            r1_words = [u + y for y in sorted(f.right(1))]
-            direct = all(word in suffixes for word in r1_words)
-            if direct:
-                clauses.append(EdgeCaseClause(
-                    clause="iii", holds=True, detail="Rhalf*R1 realized"))
-            else:
-                ok = len(f.right(half - 1)) == 0
-                detail = "Rhalf*R1 unrealized; checking the chain"
-                if ok:
-                    for j in range(1, k - half):
-                        for y in sorted(f.right(j)):
-                            for z in r1_words:
-                                word = z + y
-                                ok = ok and word in suffixes
-                clauses.append(EdgeCaseClause(clause="iii", holds=ok, detail=detail))
+                    clause=clause, holds=ok,
+                    detail=f"{label}1 with {label}{half} unrealized; "
+                           "checking the chain"))
     return EdgeCaseReport(applicable=True, clauses=tuple(clauses))
 
 

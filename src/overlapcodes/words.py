@@ -20,12 +20,6 @@ def check_alphabet(q: int) -> None:
         raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {q}")
 
 
-def symbols(q: int) -> str:
-    """The canonical symbols of a q-ary alphabet, as a digit string."""
-    check_alphabet(q)
-    return DIGITS[:q]
-
-
 def check_word(w: str, q: int) -> None:
     check_alphabet(q)
     if not w:

@@ -223,6 +223,42 @@ def test_simulate_explicit_edits(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("edits,complaint", [
+    ([1, 2], "JSON object"),
+    ({"message": [0, "1"], "window": [2, 3]}, "'message'"),
+    ({"message": [0, 1], "window": [2, "3"]}, "'window'"),
+    ({"message": [0, 1], "window": [2]}, "'window'"),
+    ({"message": [0, 1], "window": [2, 3],
+      "edits": [{"kind": "delete", "position": True, "burst_length": 1}]},
+     "'edits'"),
+    ({"message": [0, 1], "window": [2, 3], "edits": [["delete", 2, 1]]},
+     "'edits'"),
+])
+def test_simulate_rejects_malformed_edits(tmp_path, capsys, edits, complaint):
+    code_path = tmp_path / "code.txt"
+    write_code(code(2, 4, {"0010", "0011"}), code_path)
+    edits_path = tmp_path / "edits.json"
+    edits_path.write_text(json.dumps(edits))
+    out = tmp_path / "ev.json"
+    rc = main(["simulate", "--code", str(code_path), "--edits",
+               str(edits_path), "--json", str(out)])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert complaint in err and len(err.splitlines()) == 1
+
+
+def test_construct_report_goes_to_stdout_without_report_path(
+        tmp_path, family_file, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"kind": "OneK", "n": 4, "k": 2, "family": str(family_file)}))
+    rc = main(["construct", "--spec", str(spec_path),
+               "--out", str(tmp_path / "code.txt")])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["size"] == 2
+
+
 def test_families_enumerate_and_validate(tmp_path, capsys):
     out = tmp_path / "fams.txt"
     rc = main(["families", "--q", "2", "--k", "2", "--out", str(out)])

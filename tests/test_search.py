@@ -1,8 +1,12 @@
+import time
+from itertools import product
+
 import pytest
 
 from overlapcodes.families import balanced_family, enumerate_families, family
 from overlapcodes.constructions import lift_code, overlap_free_1k
-from overlapcodes.search import (all_maximal_from_construction,
+from overlapcodes.search import (_classcount_feasible, _classcount_max,
+                                 all_maximal_from_construction,
                                  binary_edge_check, build_graph,
                                  enumerate_maximal_codes, extension_word,
                                  greedy_complete, is_maximal, max_code,
@@ -151,6 +155,58 @@ def test_free_middle_window_answers_without_the_full_graph():
     assert (r.size, r.exact, r.method) == (6256, False, "quotient")
     assert len(r.code.words) == 6256
     assert verify_overlap_free(r.code, 1, 3) is None
+
+
+def count_vector_max(q, n, t):
+    """The classcount value by the walk the row-sum engine replaced: every
+    matrix of prefix-side counts per (head key, tail key) class."""
+    head = 2 * t - n
+    keys = q ** head
+    mult = q ** (t - 2 * head)
+    cap = keys * mult
+    best = -1
+    for flat in product(range(mult + 1), repeat=keys * keys):
+        row = [sum(flat[a * keys:(a + 1) * keys]) for a in range(keys)]
+        col = [sum(flat[b::keys]) for b in range(keys)]
+        best = max(best, sum(col[k] * (cap - row[k]) for k in range(keys)))
+    return best
+
+
+@pytest.mark.parametrize("q,n,t", [(2, 3, 2), (2, 5, 3), (2, 6, 4),
+                                   (2, 7, 4), (2, 9, 5), (3, 3, 2),
+                                   (3, 5, 3), (4, 3, 2)])
+def test_classcount_row_sums_match_count_vector_walk(q, n, t):
+    expect = count_vector_max(q, n, t)
+    value, words = _classcount_max(q, n, t)
+    assert value == expect == len(words)
+    r = max_code(q, n, t, t, method="classcount")
+    assert (r.size, r.exact) == (expect, True)
+    assert verify_overlap_free(r.code, t, t) is None
+
+
+@pytest.mark.parametrize("window,size", [((2, 8, 5, 5), 84),
+                                         ((3, 7, 4, 4), 708),
+                                         ((5, 3, 2, 2), 40)])
+def test_classcount_closes_windows_beyond_the_count_vector_walk(window, size):
+    r = max_code(*window, node_budget=1000)
+    assert (r.method, r.size, r.exact) == ("classcount", size, True)
+    assert verify_overlap_free(r.code, *window[2:]) is None
+
+
+@pytest.mark.parametrize("window", [(2, 44, 28, 28), (2, 40, 26, 26),
+                                    (36, 2 * 10 ** 7 - 1, 10 ** 7, 10 ** 7)])
+def test_classcount_applicability_is_bounded(window):
+    started = time.perf_counter()
+    assert not _classcount_feasible(*window)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_classcount_applies_on_five_desk_windows():
+    desk = [(q, n, t1, t2) for q in (2, 3) for n in range(3, 7)
+            for t1 in range(1, n) for t2 in range(t1, n)]
+    assert len(desk) == 68
+    assert [w for w in desk if _classcount_feasible(*w)] == [
+        (2, 3, 2, 2), (2, 5, 3, 3), (2, 6, 4, 4), (3, 3, 2, 2), (3, 5, 3, 3)]
 
 
 def test_is_maximal_examples():
