@@ -46,7 +46,7 @@ def encode_stream(c: CodeSet, message: Sequence[int]) -> SymbolStream:
     words = c.sorted_words()
     for idx in message:
         if not 0 <= idx < len(words):
-            raise IndexError(f"codeword index {idx} out of range")
+            raise ValueError(f"codeword index {idx} out of range")
     symbols = "".join(words[idx] for idx in message)
     return SymbolStream(symbols=symbols, q=c.q,
                         boundaries=tuple(i * c.n for i in range(len(message))))

@@ -1,19 +1,21 @@
 """Command-line surface: construct, verify, bounds, search, tables, simulate,
-families.
+families.  Each command is a thin shell over the library; ``tables`` prints
+``search.table_rows`` and ``search --method`` takes ``search.METHODS``.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage, 3 budget exhausted.
-Every emitted artifact gets a ``<file>.manifest.json`` sidecar recording the
-command, parameters, seed, and the artifact's sha256.
+Exit codes: 0 ok, 1 verification failure, 2 usage, 3 budget or size cap
+exhausted.  Every artifact goes through ``_emit``: to stdout when no path
+is given, else to its file with a ``<file>.manifest.json`` sidecar recording
+the command, parameters, seed, and the artifact's sha256.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from itertools import product
 from pathlib import Path
@@ -22,13 +24,13 @@ from . import __version__
 from .bounds import bound_report
 from .channel import (CorruptionSpec, burst_range, corrupt, detection_offset,
                       encode_stream, scan_decode)
-from .constructions import (KINDS, ConstructionSpec, claimed_windows,
-                            code_size_1k, non_overlapping_size,
+from .constructions import (KINDS, CodeTooLarge, ConstructionSpec,
+                            DisjointnessViolation, claimed_windows,
                             run_construction)
 from .families import EnumerationBudgetExceeded, enumerate_families
-from .fileio import (FormatError, RunManifest, format_family, read_code,
-                     read_family, sha256_digest, write_code, write_manifest)
-from .search import max_code
+from .fileio import (FormatError, RunManifest, format_code, format_family,
+                     read_code, read_family, sha256_digest, write_manifest)
+from .search import METHODS, max_code, table_rows
 from .words import DIGITS, verify_overlap_free
 
 EXIT_OK = 0
@@ -37,27 +39,33 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit_manifest(path: str, command: str, parameters: dict, seed: int | None,
-                   started: float) -> None:
-    manifest = RunManifest(
-        command=command,
-        parameters=parameters,
-        version=__version__,
-        seed=seed,
-        wall_time_s=round(time.time() - started, 3),
-        outputs={path: sha256_digest(path)},
-    )
-    write_manifest(manifest, path + ".manifest.json")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: str | None, payload: dict, command: str, parameters: dict,
-                seed: int | None, started: float) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _csv(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+def _emit(args: argparse.Namespace, path: str | None, text: str,
+          parameters: dict) -> None:
+    """Write text to stdout when path is None, else to path (newline="" so
+    CSV row ends stay as written) with its manifest sidecar."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-        _emit_manifest(path, command, parameters, seed, started)
+        return
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+    write_manifest(RunManifest(
+        command=args.command,
+        parameters=parameters,
+        version=__version__,
+        seed=args.seed,
+        wall_time_s=round(time.time() - args.started, 3),
+        outputs={path: sha256_digest(path)},
+    ), path + ".manifest.json")
 
 
 # construction_spec.v1.json: integer fields with their minimums, path fields
@@ -88,7 +96,6 @@ def _check_spec(data) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    started = time.time()
     spec_data = json.loads(Path(args.spec).read_text())
     _check_spec(spec_data)
     kind = spec_data["kind"]
@@ -122,9 +129,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "ok": ok,
     }
     if ok:
-        write_code(result, args.out, comment=f"{kind} construction")
-        _emit_manifest(args.out, "construct", spec_data, args.seed, started)
-    _write_json(args.report, report, "construct", spec_data, args.seed, started)
+        _emit(args, args.out,
+              format_code(result, comment=f"{kind} construction"), spec_data)
+    _emit(args, args.report, _json(report), spec_data)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -138,7 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     if witness is not None:
         payload["witness"] = asdict(witness)
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json(payload))
     return EXIT_OK if witness is None else EXIT_VERIFICATION
 
 
@@ -155,31 +162,28 @@ def _report_payload(q: int, n: int, t1: int, t2: int) -> dict:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    started = time.time()
     params = {"q": args.q, "n": args.n, "t1": args.t1, "t2": args.t2}
-    if args.t1 is not None and args.t2 is not None:
-        payload = _report_payload(args.q, args.n, args.t1, args.t2)
-        _write_json(args.json, payload, "bounds", params, args.seed, started)
-        return EXIT_OK
-    if args.csv is None:
-        sys.stderr.write("bounds: give --t1 and --t2, or --csv for a sweep\n")
+    if ((args.t1 is None) != (args.t2 is None)
+            or args.t1 is None and args.csv is None):
+        sys.stderr.write("bounds: give both --t1 and --t2, or neither and "
+                         "--csv for a sweep\n")
         return EXIT_USAGE
-    with open(args.csv, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["q", "n", "t1", "t2", "best_lower", "best_upper",
-                         "exact"])
-        for t1 in range(1, args.n):
-            for t2 in range(t1, args.n):
-                report = bound_report(args.q, args.n, t1, t2)
-                writer.writerow([args.q, args.n, t1, t2, report.best_lower,
-                                 report.best_upper,
-                                 "" if report.exact is None else report.exact])
-    _emit_manifest(args.csv, "bounds", params, args.seed, started)
+    if args.t1 is not None:
+        payload = _report_payload(args.q, args.n, args.t1, args.t2)
+        _emit(args, args.json, _json(payload), params)
+        return EXIT_OK
+    rows = [["q", "n", "t1", "t2", "best_lower", "best_upper", "exact"]]
+    for t1 in range(1, args.n):
+        for t2 in range(t1, args.n):
+            report = bound_report(args.q, args.n, t1, t2)
+            rows.append([args.q, args.n, t1, t2, report.best_lower,
+                         report.best_upper,
+                         "" if report.exact is None else report.exact])
+    _emit(args, args.csv, _csv(rows), params)
     return EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    started = time.time()
     result = max_code(args.q, args.n, args.t1, args.t2,
                       node_budget=args.budget, method=args.method)
     payload = {
@@ -192,82 +196,23 @@ def _cmd_search(args: argparse.Namespace) -> int:
     }
     params = {"q": args.q, "n": args.n, "t1": args.t1, "t2": args.t2,
               "budget": args.budget, "method": args.method}
-    _write_json(args.json, payload, "search", params, args.seed, started)
+    _emit(args, args.json, _json(payload), params)
     return EXIT_OK if result.exact else EXIT_BUDGET
 
 
-def _family_value(task: tuple) -> int:
-    f, n, k = task
-    return code_size_1k(f, n, k)
-
-
-def table_rows(which: str, q: int, n_max: int, *, max_families: int | None,
-               jobs: int = 1, search_budget: int = 2_000_000):
-    """Rows (n, base_max, n_families_at_max, value, bold, truncated) for the
-    layered-construction tables.
-
-    table1: expand maximum non-overlapping codes of length n-1 to window
-    (1, n-2) codes of length n; bold marks value > q * base_max.
-    table2: length n-2 codes to window (1, n-3) at length n; bold marks
-    value > q^2 * base_max.
-    """
-    if which == "table1":
-        n_lo, gap = 5, 1
-    elif which == "table2":
-        n_lo, gap = 6, 2
-    else:
-        raise ValueError("which must be table1 or table2")
-    for n in range(n_lo, n_max + 1):
-        base_n = n - gap
-        k = base_n - 1
-        base = max_code(q, base_n, 1, base_n - 1, node_budget=search_budget)
-        best = 0
-        count = 0
-        truncated = False
-        try:
-            tasks = []
-            for f in enumerate_families(q, k, max_families=max_families):
-                if non_overlapping_size(f, base_n) == base.size:
-                    tasks.append((f, n, k))
-            if jobs > 1 and len(tasks) > 64:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    values = list(pool.map(_family_value, tasks, chunksize=64))
-            else:
-                values = [_family_value(t) for t in tasks]
-            for value in values:
-                count += 1
-                best = max(best, value)
-        except EnumerationBudgetExceeded:
-            truncated = True
-        bold = best > q ** gap * base.size
-        yield {"n": n, "base_max": base.size, "families_at_max": count,
-               "value": best, "bold": bold, "truncated": truncated,
-               "base_exact": base.exact}
-        if truncated:
-            return
-
-
 def _cmd_tables(args: argparse.Namespace) -> int:
-    started = time.time()
     params = {"which": args.which, "q": args.q, "n_max": args.n_max,
               "max_families": args.max_families}
     rows = list(table_rows(args.which, args.q, args.n_max,
-                           max_families=args.max_families, jobs=args.jobs))
-    out = args.csv
-    handle = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(["which", "q", "n", "base_max", "families_at_max",
-                         "value", "bold", "truncated"])
-        for row in rows:
-            writer.writerow([args.which, args.q, row["n"], row["base_max"],
-                             row["families_at_max"], row["value"],
-                             "yes" if row["bold"] else "no",
-                             "yes" if row["truncated"] else "no"])
-    finally:
-        if out:
-            handle.close()
-            _emit_manifest(out, "tables", params, args.seed, started)
+                           max_families=args.max_families))
+    lines = [["which", "q", "n", "base_max", "families_at_max", "value",
+              "bold", "truncated"]]
+    for row in rows:
+        lines.append([args.which, args.q, row["n"], row["base_max"],
+                      row["families_at_max"], row["value"],
+                      "yes" if row["bold"] else "no",
+                      "yes" if row["truncated"] else "no"])
+    _emit(args, args.csv, _csv(lines), params)
     if any(row["truncated"] for row in rows):
         return EXIT_BUDGET
     return EXIT_OK
@@ -290,14 +235,18 @@ def _check_edits(data) -> None:
                          f"got {window!r}")
     edits = data.get("edits", [])
     if not (isinstance(edits, list)
-            and all(isinstance(e, dict) and type(e.get("position")) is int
-                    and type(e.get("burst_length")) is int for e in edits)):
+            and all(isinstance(e, dict) and isinstance(e.get("kind"), str)
+                    and type(e.get("position")) is int
+                    and type(e.get("burst_length")) is int
+                    and isinstance(e.get("inserted", ""), str)
+                    and type(e.get("seed", 0)) is int for e in edits)):
         raise ValueError("simulate: 'edits' must be a list of objects with "
-                         "integer 'position' and 'burst_length'")
+                         "string 'kind', integer 'position' and "
+                         "'burst_length', and optional string 'inserted' "
+                         "and integer 'seed'")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.time()
     c = read_code(args.code)
     edits_data = json.loads(Path(args.edits).read_text())
     _check_edits(edits_data)
@@ -320,7 +269,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     specs.append(CorruptionSpec("insert", pos, b,
                                                 inserted="".join(sym)))
     else:
-        for spec in edits_data["edits"]:
+        for spec in edits_data.get("edits", []):
             specs.append(CorruptionSpec(
                 kind=spec["kind"], position=spec["position"],
                 burst_length=spec["burst_length"],
@@ -341,24 +290,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                "message_length": len(message), "runs": runs}
     params = {"code": str(args.code), "edits": str(args.edits),
               "exhaustive": bool(args.exhaustive)}
-    _write_json(args.json, payload, "simulate", params, args.seed, started)
+    _emit(args, args.json, _json(payload), params)
     if args.hist:
         counts: dict[int, int] = {}
         for run in runs:
             off = run["detection_offset"]
             if off is not None:
                 counts[off] = counts.get(off, 0) + 1
-        with open(args.hist, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["detection_offset", "count"])
-            for off in sorted(counts):
-                writer.writerow([off, counts[off]])
-        _emit_manifest(args.hist, "simulate", params, args.seed, started)
+        _emit(args, args.hist, _csv([["detection_offset", "count"],
+                                     *sorted(counts.items())]), params)
     return EXIT_OK
 
 
 def _cmd_families(args: argparse.Namespace) -> int:
-    started = time.time()
     if args.validate:
         try:
             read_family(args.validate)
@@ -381,12 +325,8 @@ def _cmd_families(args: argparse.Namespace) -> int:
     text = "\n".join(chunks)
     if budget_hit:
         text += "\n# TRUNCATED: family budget exhausted\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        params = {"q": args.q, "k": args.k, "max_families": args.max_families}
-        _emit_manifest(args.out, "families", params, args.seed, started)
-    else:
-        sys.stdout.write(text)
+    params = {"q": args.q, "k": args.k, "max_families": args.max_families}
+    _emit(args, args.out, text, params)
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
 
@@ -397,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification, bounds, exact search, and channel simulation.")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomized pieces (inserted symbols)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap for parallel stages")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="run a construction from a JSON spec")
@@ -431,9 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", type=int, required=True)
     p.add_argument("--budget", type=int, default=2_000_000,
                    help="node-expansion budget")
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "classcount", "rectangle", "quotient",
-                            "raw"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_search)
 
@@ -467,11 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.time()
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, DisjointnessViolation) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_VERIFICATION
+    except CodeTooLarge as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_BUDGET
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

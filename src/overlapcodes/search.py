@@ -21,6 +21,10 @@ desk-scale parameter space:
                    strings per head key is fixed, each head key fills the
                    tail keys with the fewest prefix strings first, so walk
                    the non-decreasing row-sum tuples.
+
+``METHODS`` lists these names and ``auto``, which picks among them.
+``table_rows`` builds the expansion tables: it expands the maximum
+non-overlapping codes found by search with the layered construction.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
-from .constructions import lift_code, overlap_free_1k
-from .families import PartitionFamily, checked, family_from_code
+from .constructions import (code_size_1k, lift_code, non_overlapping_size,
+                            overlap_free_1k)
+from .families import (EnumerationBudgetExceeded, PartitionFamily, checked,
+                       enumerate_families, family_from_code)
 from .words import (CodeSet, all_words, check_alphabet, check_window, code,
                     self_compatible, verify_overlap_free)
 
@@ -39,6 +45,7 @@ DEFAULT_VERTEX_CAP = 1 << 20
 _RECTANGLE_ASSIGNMENT_CAP = 1 << 13
 _RECTANGLE_SIDE_CAP = 1 << 12
 _CLASSCOUNT_CAP = 1 << 12
+METHODS = ("auto", "classcount", "rectangle", "quotient", "raw")
 
 
 class SearchBudgetExceeded(Exception):
@@ -311,13 +318,13 @@ def max_code(q: int, n: int, t1: int, t2: int, *,
              vertex_cap: int = DEFAULT_VERTEX_CAP,
              max_words: int = 10_000_000) -> SearchResult:
     """A maximum (t1, t2)-overlap-free code, exact unless the node budget is
-    exhausted.  method: auto | classcount | rectangle | quotient | raw; auto
-    takes classcount, then rectangle, where they apply, and else quotient.
+    exhausted.  method is one of METHODS; auto takes classcount, then
+    rectangle, where they apply, and else quotient.
     vertex_cap bounds the graph the branch and bound builds, max_words the
     witness."""
     check_alphabet(q)
     check_window(n, t1, t2)
-    if method not in ("auto", "rectangle", "classcount", "quotient", "raw"):
+    if method not in METHODS:
         raise ValueError(f"unknown search method {method!r}")
 
     use_rectangle = (n >= 2 * t2 and _rectangle_levels_feasible(q, t1, t2))
@@ -588,3 +595,39 @@ def all_maximal_from_construction(q: int, n: int, k: int, *,
         if rebuilt.words != c.words:
             return RoundTripCounterexample(code=c, rebuilt=rebuilt)
     return None
+
+
+def table_rows(which: str, q: int, n_max: int, *, max_families: int | None,
+               search_budget: int = 2_000_000) -> Iterator[dict]:
+    """Rows (n, base_max, families_at_max, value, bold, truncated,
+    base_exact) of the layered-construction tables.
+
+    table1: expand maximum non-overlapping codes of length n-1 to window
+    (1, n-2) codes of length n; bold marks value > q * base_max.
+    table2: length n-2 codes to window (1, n-3) at length n; bold marks
+    value > q^2 * base_max.  A row whose family enumeration hits
+    max_families reports no families and ends the table.
+    """
+    if which == "table1":
+        n_lo, gap = 5, 1
+    elif which == "table2":
+        n_lo, gap = 6, 2
+    else:
+        raise ValueError("which must be table1 or table2")
+    for n in range(n_lo, n_max + 1):
+        base_n = n - gap
+        k = base_n - 1
+        base = max_code(q, base_n, 1, k, node_budget=search_budget)
+        truncated = False
+        try:
+            values = [code_size_1k(f, n, k)
+                      for f in enumerate_families(q, k, max_families=max_families)
+                      if non_overlapping_size(f, base_n) == base.size]
+        except EnumerationBudgetExceeded:
+            values, truncated = [], True
+        best = max(values, default=0)
+        yield {"n": n, "base_max": base.size, "families_at_max": len(values),
+               "value": best, "bold": best > q ** gap * base.size,
+               "truncated": truncated, "base_exact": base.exact}
+        if truncated:
+            return

@@ -14,7 +14,7 @@ import pytest
 from overlapcodes.bounds import bound_report, round_nearest, upper_bounds
 from overlapcodes.channel import (CorruptionSpec, burst_range, corrupt,
                                   detection_offset, encode_stream, scan_decode)
-from overlapcodes.cli import table_rows
+from overlapcodes.search import table_rows
 from overlapcodes.constructions import (code_size_1k, non_overlapping,
                                         non_overlapping_size, overlap_free_1k,
                                         pad_t1t2, simultaneous, t1t2_expanded,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -67,12 +68,12 @@ def test_construct_pad_from_code(tmp_path):
     assert read_code(out).sorted_words() == ["0010", "0011"]
 
 
-def run_spec(tmp_path, spec):
+def run_spec(tmp_path, spec, *flags):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     out = tmp_path / "out.txt"
-    rc = main(["construct", "--spec", str(spec_path), "--out", str(out),
-               "--report", str(tmp_path / "report.json")])
+    rc = main(["construct", *flags, "--spec", str(spec_path), "--out",
+               str(out), "--report", str(tmp_path / "report.json")])
     return rc, out
 
 
@@ -142,6 +143,25 @@ def test_construct_spec_check_mirrors_schema():
         assert props[key]["type"] == "string"
 
 
+@pytest.mark.parametrize("spec,flags,exit_code,complaint", [
+    ({"kind": "ExpandedT1T2", "n": 6, "t1": 2, "t2": 3, "family": "fam3.txt"},
+     ["--strict"], 1, "not disjoint (8 generated, 7 distinct)"),
+    ({"kind": "PadT1T2", "n": 27, "t1": 25, "t2": 25, "code": "base.txt"},
+     [], 3, "more than 10000000 words"),
+])
+def test_construct_library_errors_exit_with_one_line(
+        tmp_path, monkeypatch, capsys, spec, flags, exit_code, complaint):
+    monkeypatch.chdir(tmp_path)
+    Path("fam3.txt").write_text(
+        "q=2 k=3\nL1: 0\nR1: 1\nL2:\nR2: 01\nL3: 001\nR3:\n")
+    write_code(code(2, 3, {"001"}), "base.txt")
+    rc, out = run_spec(tmp_path, spec, *flags)
+    assert rc == exit_code
+    assert not out.exists() and not (tmp_path / "report.json").exists()
+    err = capsys.readouterr().err
+    assert complaint in err and len(err.splitlines()) == 1
+
+
 def test_verify_exit_codes(tmp_path):
     good = tmp_path / "good.txt"
     write_code(code(2, 4, {"0001", "0011"}), good)
@@ -166,6 +186,15 @@ def test_bounds_csv_sweep(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0].startswith("q,n,t1,t2")
     assert len(rows) == 1 + 6  # all windows of n=4
+
+
+@pytest.mark.parametrize("half", [["--t1", "1"], ["--t2", "2"]])
+def test_bounds_rejects_half_window(tmp_path, capsys, half):
+    out = tmp_path / "sweep.csv"
+    rc = main(["bounds", "--q", "2", "--n", "4", *half, "--csv", str(out)])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "--t1 and --t2" in err and len(err.splitlines()) == 1
 
 
 def test_search_json_schema(tmp_path):
@@ -233,6 +262,17 @@ def test_simulate_explicit_edits(tmp_path):
      "'edits'"),
     ({"message": [0, 1], "window": [2, 3], "edits": [["delete", 2, 1]]},
      "'edits'"),
+    ({"message": [0, 5], "window": [2, 3]}, "index 5 out of range"),
+    ({"message": [0, 1], "window": [2, 3],
+      "edits": [{"position": 2, "burst_length": 1}]}, "'kind'"),
+    ({"message": [0, 1], "window": [2, 3],
+      "edits": [{"kind": 1, "position": 2, "burst_length": 1}]}, "'kind'"),
+    ({"message": [0, 1], "window": [2, 3],
+      "edits": [{"kind": "insert", "position": 2, "burst_length": 1,
+                 "inserted": 5}]}, "'inserted'"),
+    ({"message": [0, 1], "window": [2, 3],
+      "edits": [{"kind": "insert", "position": 2, "burst_length": 1,
+                 "seed": True}]}, "'seed'"),
 ])
 def test_simulate_rejects_malformed_edits(tmp_path, capsys, edits, complaint):
     code_path = tmp_path / "code.txt"
@@ -280,6 +320,48 @@ def test_families_budget_exit_code(tmp_path):
                "--out", str(out)])
     assert rc == 3
     assert "TRUNCATED" in out.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--spec", "spec.json", "--out", "ART", "--report", "r.json"],
+    ["construct", "--spec", "spec.json", "--out", "c.txt", "--report", "ART"],
+    ["bounds", "--q", "2", "--n", "4", "--t1", "1", "--t2", "2",
+     "--json", "ART"],
+    ["bounds", "--q", "2", "--n", "4", "--csv", "ART"],
+    ["search", "--q", "2", "--n", "4", "--t1", "1", "--t2", "2",
+     "--json", "ART"],
+    ["tables", "--which", "table1", "--q", "2", "--n-max", "5", "--csv", "ART"],
+    ["simulate", "--code", "code.txt", "--edits", "edits.json",
+     "--json", "ART"],
+    ["simulate", "--code", "code.txt", "--edits", "edits.json",
+     "--exhaustive", "--hist", "ART"],
+    ["families", "--q", "2", "--k", "2", "--out", "ART"],
+], ids=lambda argv: argv[0] + argv[argv.index("ART") - 1])
+def test_every_artifact_gets_its_manifest(tmp_path, monkeypatch, family_file,
+                                          argv):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps(
+        {"kind": "OneK", "n": 4, "k": 2, "family": str(family_file)}))
+    write_code(code(2, 4, {"0010", "0011"}), "code.txt")
+    Path("edits.json").write_text(json.dumps(
+        {"message": [0, 1, 1, 0], "window": [2, 3]}))
+    assert main(["--seed", "4", *argv]) == 0
+    manifest = json.loads(Path("ART.manifest.json").read_text())
+    schema_validate(manifest, load_schema("manifest.v1.json"))
+    assert manifest["command"] == argv[0] and manifest["seed"] == 4
+    digest = hashlib.sha256(Path("ART").read_bytes()).hexdigest()
+    assert manifest["outputs"] == {"ART": digest}
+
+
+def test_tables_without_csv_prints_csv_and_no_manifest(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["tables", "--which", "table1", "--q", "2", "--n-max", "5"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "which,q,n,base_max,families_at_max,value,bold,truncated\r\n"
+        "table1,2,5,1,8,3,yes,no\r\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deterministic_outputs(tmp_path):
