@@ -5,7 +5,8 @@ families.  Each command is a thin shell over the library; ``tables`` prints
 Exit codes: 0 ok, 1 verification failure, 2 usage, 3 budget or size cap
 exhausted.  Every artifact goes through ``_emit``: to stdout when no path
 is given, else to its file with a ``<file>.manifest.json`` sidecar recording
-the command, parameters, seed, and the artifact's sha256.
+the command, parameters, seed, and the artifact's sha256.  A library
+warning prints as one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from itertools import product
 from pathlib import Path
@@ -163,12 +165,17 @@ def _report_payload(q: int, n: int, t1: int, t2: int) -> dict:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     params = {"q": args.q, "n": args.n, "t1": args.t1, "t2": args.t2}
-    if ((args.t1 is None) != (args.t2 is None)
-            or args.t1 is None and args.csv is None):
+    window = args.t1 is not None
+    if window != (args.t2 is not None) or not window and args.csv is None:
         sys.stderr.write("bounds: give both --t1 and --t2, or neither and "
                          "--csv for a sweep\n")
         return EXIT_USAGE
-    if args.t1 is not None:
+    unused = "csv" if window else "json"
+    if getattr(args, unused) is not None:
+        sys.stderr.write(f"bounds: --{unused} does not apply here; one window "
+                         "writes --json, a sweep --csv\n")
+        return EXIT_USAGE
+    if window:
         payload = _report_payload(args.q, args.n, args.t1, args.t2)
         _emit(args, args.json, _json(payload), params)
         return EXIT_OK
@@ -404,17 +411,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.started = time.time()
-    try:
-        return args.func(args)
-    except (FormatError, DisjointnessViolation) as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_VERIFICATION
-    except CodeTooLarge as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_BUDGET
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.func(args)
+        except (FormatError, DisjointnessViolation) as exc:
+            sys.stderr.write(f"{exc}\n")
+            return EXIT_VERIFICATION
+        except CodeTooLarge as exc:
+            sys.stderr.write(f"{exc}\n")
+            return EXIT_BUDGET
+        except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_USAGE
+        finally:
+            for warning in caught:
+                sys.stderr.write(f"warning: {warning.message}\n")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ desk-scale parameter space:
                    the raw search.
 * ``rectangle``  - for n >= 2*t2 a maximum code is a product P x Sigma^(n-2t2)
                    x S with the prefix sets of P disjoint from the suffix sets
-                   of S level by level; enumerate the level splits directly.
+                   of S level by level; enumerate the claim sets of the
+                   lower levels, each side word one bit, with precomputed
+                   mask tables per level giving the words a claim set
+                   leaves on each side.
 * ``classcount`` - for t1 = t2 = t and n < 2t a code is a split of Sigma^t
                    into prefix and suffix sides; once the number of prefix
                    strings per head key is fixed, each head key fills the
@@ -201,46 +204,53 @@ def _rectangle_max(q: int, t1: int, t2: int) -> tuple[int, list[str], list[str]]
     P at any level t in [t1, t2] equals a suffix of S at the same level.
 
     Enumerates the claimed prefix sets for levels t1 .. t2-1 and closes the
-    top level in closed form.
+    top level in closed form.  Each side word of Sigma^t2 is one bit, in
+    lexicographic order.  For each lower level t, bit pos of a claim set
+    claims the pos-th string of Sigma^t, and two tables indexed by the claim
+    set give the side words that may still be prefixes (every one starts
+    with a claimed string) and suffixes (none ends in one).  A leaf splits
+    the words that may be both: the first j of them go to P.
     """
     side = list(all_words(q, t2))
-    lower = list(range(t1, t2))
-    level_words = {t: list(all_words(q, t)) for t in lower}
-    best = (-1, [], [])
+    full = (1 << len(side)) - 1
+    tables = []
+    for t in range(t1, t2):
+        index = {w: pos for pos, w in enumerate(all_words(q, t))}
+        prefix, suffix = [0] * len(index), [0] * len(index)
+        for i, x in enumerate(side):
+            prefix[index[x[:t]]] |= 1 << i
+            suffix[index[x[t2 - t:]]] |= 1 << i
+        claimed, free = [0], [full]
+        for bits in range(1, 1 << len(index)):
+            rest, pos = bits & (bits - 1), (bits & -bits).bit_length() - 1
+            claimed.append(claimed[rest] | prefix[pos])
+            free.append(free[rest] & ~suffix[pos])
+        tables.append(list(zip(claimed, free)))
+    best = (-1, 0, 0, 0)
 
-    def close_top(claimed: dict[str, bool]) -> None:
+    def walk(level: int, in_u: int, in_v: int) -> None:
         nonlocal best
-        u_only, shared, v_only = [], [], []
-        for x in side:
-            in_u = all(claimed.get(x[:t], False) for t in lower)
-            in_v = all(not claimed.get(x[len(x) - t:], False) for t in lower)
-            if in_u and in_v:
-                shared.append(x)
-            elif in_u:
-                u_only.append(x)
-            elif in_v:
-                v_only.append(x)
-        j, val = _best_split(len(u_only), len(shared), len(v_only))
-        if val > best[0]:
-            p_side = sorted(u_only) + sorted(shared)[:j]
-            s_side = sorted(v_only) + sorted(shared)[j:]
-            best = (val, sorted(p_side), sorted(s_side))
-
-    def assign(level_idx: int, claimed: dict[str, bool]) -> None:
-        if level_idx == len(lower):
-            close_top(claimed)
+        if level == len(tables):
+            both = (in_u & in_v).bit_count()
+            j, val = _best_split(in_u.bit_count() - both, both,
+                                 in_v.bit_count() - both)
+            if val > best[0]:
+                best = (val, in_u, in_v, j)
             return
-        t = lower[level_idx]
-        words_t = level_words[t]
-        for bits in range(2 ** len(words_t)):
-            for pos, wt in enumerate(words_t):
-                claimed[wt] = bool(bits >> pos & 1)
-            assign(level_idx + 1, claimed)
-        for wt in words_t:
-            del claimed[wt]
+        for claimed, free in tables[level]:
+            walk(level + 1, in_u & claimed, in_v & free)
 
-    assign(0, {})
-    return best
+    walk(0, full, full)
+    val, in_u, in_v, j = best
+    shared = in_u & in_v
+    p_mask = in_u ^ shared
+    for _ in range(j):
+        low = shared & -shared
+        p_mask |= low
+        shared ^= low
+    s_mask = in_v & ~p_mask
+    return (val, [x for i, x in enumerate(side) if p_mask >> i & 1],
+            [x for i, x in enumerate(side) if s_mask >> i & 1])
 
 
 def _classcount_feasible(q: int, n: int, t1: int, t2: int) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterator
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -96,10 +97,15 @@ def overlap_lengths(u: str, v: str) -> set[int]:
 
 def verify_overlap_free(c: CodeSet, t1: int, t2: int) -> OverlapWitness | None:
     """None if no ordered pair of codewords (u = v included) has a t-overlap
-    for t in [t1, t2]; otherwise the first witness in (t, v, u) order."""
+    for t in [t1, t2]; otherwise the first witness in (t, v, u) order.
+    Each level is tested as one set disjointness; only the first level that
+    fails runs the ordered scan that names the witness."""
     check_window(c.n, t1, t2)
-    words = c.sorted_words()
     for t in range(t1, t2 + 1):
+        if set(map(itemgetter(slice(t)), c.words)).isdisjoint(
+                map(itemgetter(slice(c.n - t, None)), c.words)):
+            continue
+        words = c.sorted_words()
         prefixes: dict[str, str] = {}
         for u in words:
             prefixes.setdefault(u[:t], u)

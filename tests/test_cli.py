@@ -162,6 +162,20 @@ def test_construct_library_errors_exit_with_one_line(
     assert complaint in err and len(err.splitlines()) == 1
 
 
+def test_construct_warning_is_one_line(tmp_path, monkeypatch, capfd):
+    monkeypatch.chdir(tmp_path)
+    Path("fam3.txt").write_text(
+        "q=2 k=3\nL1: 0\nR1: 1\nL2:\nR2: 01\nL3: 001\nR3:\n")
+    spec = {"kind": "ExpandedT1T2", "n": 6, "t1": 2, "t2": 3,
+            "family": "fam3.txt"}
+    rc, out = run_spec(tmp_path, spec)
+    assert rc == 0 and len(read_code(out)) == 7
+    assert (tmp_path / "report.json").exists()
+    assert capfd.readouterr().err == ("warning: t1t2_expanded: union terms "
+                                      "are not disjoint (8 generated, 7 "
+                                      "distinct)\n")
+
+
 def test_verify_exit_codes(tmp_path):
     good = tmp_path / "good.txt"
     write_code(code(2, 4, {"0001", "0011"}), good)
@@ -195,6 +209,22 @@ def test_bounds_rejects_half_window(tmp_path, capsys, half):
     assert rc == 2 and not out.exists()
     err = capsys.readouterr().err
     assert "--t1 and --t2" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("window,option", [
+    (["--t1", "1", "--t2", "2"], "--csv"),
+    ([], "--json"),
+])
+def test_bounds_rejects_output_option_it_would_drop(tmp_path, capsys, window,
+                                                    option):
+    csv_out, json_out = tmp_path / "x.csv", tmp_path / "x.json"
+    flags = ["--csv", str(csv_out)] + (["--json", str(json_out)]
+                                       if not window else [])
+    rc = main(["bounds", "--q", "2", "--n", "4", *window, *flags])
+    assert rc == 2 and not list(tmp_path.iterdir())
+    captured = capsys.readouterr()
+    assert option in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
 
 
 def test_search_json_schema(tmp_path):

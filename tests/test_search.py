@@ -5,7 +5,9 @@ import pytest
 
 from overlapcodes.families import balanced_family, enumerate_families, family
 from overlapcodes.constructions import lift_code, overlap_free_1k
-from overlapcodes.search import (_classcount_feasible, _classcount_max,
+from overlapcodes.search import (_best_split, _classcount_feasible,
+                                 _classcount_max, _rectangle_levels_feasible,
+                                 _rectangle_max,
                                  all_maximal_from_construction,
                                  binary_edge_check, build_graph,
                                  enumerate_maximal_codes, extension_word,
@@ -155,6 +157,76 @@ def test_free_middle_window_answers_without_the_full_graph():
     assert (r.size, r.exact, r.method) == (6256, False, "quotient")
     assert len(r.code.words) == 6256
     assert verify_overlap_free(r.code, 1, 3) is None
+
+
+def dict_walk_rectangle_max(q, t1, t2):
+    """The rectangle value and sides by the walk the mask tables replaced:
+    a dict of claimed strings, every side word re-classified at each leaf."""
+    side = list(all_words(q, t2))
+    lower = list(range(t1, t2))
+    level_words = {t: list(all_words(q, t)) for t in lower}
+    best = (-1, [], [])
+
+    def close_top(claimed):
+        nonlocal best
+        u_only, shared, v_only = [], [], []
+        for x in side:
+            in_u = all(claimed.get(x[:t], False) for t in lower)
+            in_v = all(not claimed.get(x[len(x) - t:], False) for t in lower)
+            if in_u and in_v:
+                shared.append(x)
+            elif in_u:
+                u_only.append(x)
+            elif in_v:
+                v_only.append(x)
+        j, val = _best_split(len(u_only), len(shared), len(v_only))
+        if val > best[0]:
+            p_side = sorted(u_only) + sorted(shared)[:j]
+            s_side = sorted(v_only) + sorted(shared)[j:]
+            best = (val, sorted(p_side), sorted(s_side))
+
+    def assign(level_idx, claimed):
+        if level_idx == len(lower):
+            close_top(claimed)
+            return
+        words_t = level_words[lower[level_idx]]
+        for bits in range(2 ** len(words_t)):
+            for pos, wt in enumerate(words_t):
+                claimed[wt] = bool(bits >> pos & 1)
+            assign(level_idx + 1, claimed)
+        for wt in words_t:
+            del claimed[wt]
+
+    assign(0, {})
+    return best
+
+
+RECTANGLE_LEVELS = [(q, t1, t2) for q in (2, 3, 4) for t2 in range(1, 8)
+                    for t1 in range(1, t2 + 1)
+                    if _rectangle_levels_feasible(q, t1, t2)]
+
+
+@pytest.mark.parametrize("q,t1,t2", RECTANGLE_LEVELS)
+def test_rectangle_masks_match_dict_walk(q, t1, t2):
+    assert _rectangle_max(q, t1, t2) == dict_walk_rectangle_max(q, t1, t2)
+
+
+RECTANGLE_WINDOWS = [(q, n, t1, t2) for q, n_max in ((2, 8), (3, 5))
+                     for n in range(2, n_max + 1) for t2 in range(1, n)
+                     for t1 in range(1, t2 + 1)
+                     if n >= 2 * t2 and _rectangle_levels_feasible(q, t1, t2)
+                     and (q, n, t1, t2) != (2, 8, 4, 4)]
+
+
+def test_rectangle_equals_exact_quotient():
+    # (2, 8, 4, 4) is left out: quotient does not finish it within budget
+    assert len(RECTANGLE_WINDOWS) == 36
+    for window in RECTANGLE_WINDOWS:
+        rect = max_code(*window, method="rectangle")
+        quo = max_code(*window, method="quotient", node_budget=100_000)
+        assert quo.exact, window
+        assert (rect.method, rect.exact) == ("rectangle", True)
+        assert rect.size == quo.size, window
 
 
 def count_vector_max(q, n, t):

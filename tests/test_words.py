@@ -67,6 +67,32 @@ def test_verify_matches_naive(q, n, data):
         assert t1 <= fast.t <= t2
 
 
+def ordered_scan_witness(c, t1, t2):
+    """The first witness in (t, v, u) order by the scan that ran at every
+    level before the per-level disjointness test."""
+    words = c.sorted_words()
+    for t in range(t1, t2 + 1):
+        prefixes = {}
+        for u in words:
+            prefixes.setdefault(u[:t], u)
+        for v in words:
+            u = prefixes.get(v[c.n - t:])
+            if u is not None:
+                return OverlapWitness(u=u, v=v, t=t)
+    return None
+
+
+@given(st.integers(2, 4), st.integers(2, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_witness_matches_ordered_scan(q, n, data):
+    pool = list(all_words(q, n))
+    words = data.draw(st.sets(st.sampled_from(pool), max_size=12))
+    t1 = data.draw(st.integers(1, n - 1))
+    t2 = data.draw(st.integers(t1, n - 1))
+    c = code(q, n, words)
+    assert verify_overlap_free(c, t1, t2) == ordered_scan_witness(c, t1, t2)
+
+
 def test_least_period_examples():
     assert least_period("0101") == 2
     assert least_period("0110") == 4  # 3 is a classical period but not a divisor
