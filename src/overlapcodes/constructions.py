@@ -42,19 +42,19 @@ def _alphabet_factors(q: int, count: int) -> tuple[frozenset[str], ...]:
 def _materialize(terms: Iterable[Sequence[frozenset[str]]], *, q: int, n: int,
                  window: tuple[int, int] | None, strict: bool,
                  max_words: int, label: str) -> CodeSet:
+    """The union of the terms' concatenation products.  Each term is counted
+    by its size product against max_words before it is filled, and filled at
+    C level by joining its ``itertools.product`` tuples into the word set;
+    a word count below the sum of the term sizes means the terms overlap."""
     words: set[str] = set()
     generated = 0
     for factors in terms:
-        size = prod(len(s) for s in factors)
-        if size == 0:
-            continue
-        generated += size
+        generated += prod(map(len, factors))
         if generated > max_words:
             raise CodeTooLarge(
                 f"{label}: more than {max_words} words would be generated; "
                 f"use the size formula instead or raise max_words")
-        for parts in iproduct(*factors):
-            words.add("".join(parts))
+        words.update(map("".join, iproduct(*factors)))
     if generated != len(words):
         message = (f"{label}: union terms are not disjoint "
                    f"({generated} generated, {len(words)} distinct)")
@@ -83,6 +83,8 @@ def _t1t2_terms(f: PartitionFamily, n: int, t1: int, t2: int,
                 ) -> Iterator[tuple[frozenset[str], ...]]:
     """The terms of the (1, t2) code of length n - pad, each followed by pad
     free symbols, for pad in [0, t1-1]; t1 = 1 gives the (1, t2) code."""
+    left = (None, *(l for l, _ in f.levels))  # left[i] = L_i
+    right = (None, *(r for _, r in f.levels))
     for pad in range(0, t1):
         sigma = _alphabet_factors(f.q, pad)
         for s in range(t1 + t2 - pad, n - pad + 1):
@@ -91,11 +93,10 @@ def _t1t2_terms(f: PartitionFamily, n: int, t1: int, t2: int,
                 continue
             for alpha in compositions(n - pad - s):
                 for i in range(0, len(alpha) + 1):
+                    head = tuple(map(left.__getitem__, alpha[:i]))
+                    tail = tuple(map(right.__getitem__, alpha[i:])) + sigma
                     for j in range(j_lo, j_hi + 1):
-                        yield (tuple(f.left(a) for a in alpha[:i])
-                               + (f.left(j), f.right(s - j))
-                               + tuple(f.right(a) for a in alpha[i:])
-                               + sigma)
+                        yield head + (left[j], right[s - j]) + tail
 
 
 def non_overlapping(f: PartitionFamily, n: int, *, strict: bool = False,
@@ -125,8 +126,7 @@ def overlap_free_1k(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
 def code_size_1k(f: PartitionFamily, n: int, k: int) -> int:
     """Size of overlap_free_1k by the product formula (terms are disjoint)."""
     _check_terms(f, n, 1, k, "code_size_1k")
-    return sum(prod(len(s) for s in factors)
-               for factors in _t1t2_terms(f, n, 1, k))
+    return sum(prod(map(len, factors)) for factors in _t1t2_terms(f, n, 1, k))
 
 
 def _check_wmu(f: PartitionFamily, n: int, k: int, label: str) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, Literal, Sequence
 
 from .words import DIGITS, CodeSet, check_alphabet, check_word, verify_overlap_free
@@ -263,10 +264,8 @@ def family_from_code(c: CodeSet, k: int) -> PartitionFamily:
         raise ValueError(
             f"code is not (1,{k})-overlap-free: prefix of {witness.u!r} is a "
             f"suffix of {witness.v!r} at t={witness.t}")
-    prefixes: set[str] = set()
-    for w in c.words:
-        for t in range(1, min(k, c.n) + 1):
-            prefixes.add(w[:t])
+    prefixes = set().union(*(map(itemgetter(slice(t)), c.words)
+                             for t in range(1, min(k, c.n) + 1)))
     l1 = frozenset(ch for ch in DIGITS[: c.q] if ch in prefixes)
     levels = [(l1, frozenset(DIGITS[: c.q]) - l1)]
     for i in range(2, k + 1):

@@ -1,7 +1,12 @@
-"""Flat-file formats: code files, family files, and run manifests.
+r"""Flat-file formats: code files, family files, and run manifests.
 
-Code file: a ``q=<int> n=<int>`` header, one word per line, ``#`` comments.
+Code file: a ``q=<int> n=<int>`` header, then words separated by whitespace
+(``format_code`` writes one per line).
 Family file: a ``q=<int> k=<int>`` header and ``L<i>:`` / ``R<i>:`` lines.
+In both, a comment runs from ``#`` to the end of its line, where lines end
+at every break that ``str.splitlines`` recognises (``\n``, ``\r\n``, ``\r``,
+``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85``, ``\u2028``, ``\u2029``); the
+header is the first line that is not blank once comments are removed.
 Parsing a family always validates it; invalid families never enter the
 system through a file.
 """
@@ -10,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -37,26 +43,24 @@ def _split_header(line: str, keys: tuple[str, str], path: str) -> tuple[int, int
     return values[keys[0]], values[keys[1]]
 
 
-def _content_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return lines
+_COMMENT = re.compile("#.*")
+
+
+def _uncommented(text: str) -> str:
+    r"""text with every comment removed and every line break written as
+    ``\n``, the one break that ``.`` in the comment pattern does not match."""
+    return _COMMENT.sub("", "\n".join(text.splitlines()))
 
 
 def parse_code(text: str, path: str = "<string>") -> CodeSet:
-    lines = _content_lines(text)
-    if not lines:
+    header, _, rest = _uncommented(text).lstrip().partition("\n")
+    if not header:
         raise FormatError(f"{path}: missing header line")
-    q, n = _split_header(lines[0], ("q", "n"), path)
-    words = set()
-    for line in lines[1:]:
-        for word in line.split():
-            if len(word) != n:
-                raise FormatError(f"{path}: word {word!r} does not have length {n}")
-            words.add(word)
+    q, n = _split_header(header.strip(), ("q", "n"), path)
+    words = rest.split()
+    if not set(map(len, words)) <= {n}:
+        word = next(w for w in words if len(w) != n)
+        raise FormatError(f"{path}: word {word!r} does not have length {n}")
     try:
         return code(q, n, words)
     except ValueError as exc:
@@ -81,7 +85,8 @@ def write_code(c: CodeSet, path: str | Path, comment: str | None = None) -> None
 
 
 def parse_family(text: str, path: str = "<string>") -> PartitionFamily:
-    lines = _content_lines(text)
+    lines = [line for line in map(str.strip, _uncommented(text).split("\n"))
+             if line]
     if not lines:
         raise FormatError(f"{path}: missing header line")
     q, k = _split_header(lines[0], ("q", "k"), path)

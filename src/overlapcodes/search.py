@@ -616,7 +616,8 @@ def table_rows(which: str, q: int, n_max: int, *, max_families: int | None,
     (1, n-2) codes of length n; bold marks value > q * base_max.
     table2: length n-2 codes to window (1, n-3) at length n; bold marks
     value > q^2 * base_max.  A row whose family enumeration hits
-    max_families reports no families and ends the table.
+    max_families is truncated: it reports the families examined before the
+    budget ran out and ends the table.
     """
     if which == "table1":
         n_lo, gap = 5, 1
@@ -628,13 +629,13 @@ def table_rows(which: str, q: int, n_max: int, *, max_families: int | None,
         base_n = n - gap
         k = base_n - 1
         base = max_code(q, base_n, 1, k, node_budget=search_budget)
-        truncated = False
+        values, truncated = [], False
         try:
-            values = [code_size_1k(f, n, k)
-                      for f in enumerate_families(q, k, max_families=max_families)
-                      if non_overlapping_size(f, base_n) == base.size]
+            for f in enumerate_families(q, k, max_families=max_families):
+                if non_overlapping_size(f, base_n) == base.size:
+                    values.append(code_size_1k(f, n, k))
         except EnumerationBudgetExceeded:
-            values, truncated = [], True
+            truncated = True
         best = max(values, default=0)
         yield {"n": n, "base_max": base.size, "families_at_max": len(values),
                "value": best, "bold": best > q ** gap * base.size,

@@ -56,9 +56,9 @@ class CodeSet:
         check_alphabet(self.q)
         if self.n < 1:
             raise ValueError("block length must be positive")
-        for w in self.words:
-            if len(w) != self.n:
-                raise ValueError(f"word {w!r} does not have length {self.n}")
+        if not set(map(len, self.words)) <= {self.n}:
+            w = next(w for w in self.words if len(w) != self.n)
+            raise ValueError(f"word {w!r} does not have length {self.n}")
         bad = set().union(*self.words) - set(DIGITS[: self.q])
         if bad:
             raise ValueError(f"symbol {min(bad)!r} not in alphabet of size "
@@ -98,23 +98,30 @@ def overlap_lengths(u: str, v: str) -> set[int]:
 def verify_overlap_free(c: CodeSet, t1: int, t2: int) -> OverlapWitness | None:
     """None if no ordered pair of codewords (u = v included) has a t-overlap
     for t in [t1, t2]; otherwise the first witness in (t, v, u) order.
-    Each level is tested as one set disjointness; only the first level that
-    fails runs the ordered scan that names the witness."""
+
+    The words are sliced once, into their t2-prefixes and t2-suffixes; each
+    lower level is derived from the level above (``p[:t]`` of the prefixes,
+    ``s[1:]`` of the suffixes) and tested as one set disjointness.  Only the
+    lowest failing level runs the ordered scan that names the witness."""
     check_window(c.n, t1, t2)
-    for t in range(t1, t2 + 1):
-        if set(map(itemgetter(slice(t)), c.words)).isdisjoint(
-                map(itemgetter(slice(c.n - t, None)), c.words)):
-            continue
-        words = c.sorted_words()
-        prefixes: dict[str, str] = {}
-        for u in words:
-            prefixes.setdefault(u[:t], u)
-        cut = c.n - t
-        for v in words:
-            u = prefixes.get(v[cut:])
-            if u is not None:
-                return OverlapWitness(u=u, v=v, t=t)
-    return None
+    prefixes = set(map(itemgetter(slice(t2)), c.words))
+    suffixes = set(map(itemgetter(slice(c.n - t2, None)), c.words))
+    failed = None
+    for t in range(t2, t1 - 1, -1):
+        if t < t2:
+            prefixes = set(map(itemgetter(slice(t)), prefixes))
+            suffixes = set(map(itemgetter(slice(1, None)), suffixes))
+        if not prefixes.isdisjoint(suffixes):
+            failed = t
+    if failed is None:
+        return None
+    words = c.sorted_words()
+    first: dict[str, str] = {}
+    for u in words:
+        first.setdefault(u[:failed], u)
+    cut = c.n - failed
+    return next(OverlapWitness(u=first[v[cut:]], v=v, t=failed)
+                for v in words if v[cut:] in first)
 
 
 def self_compatible(w: str, t1: int, t2: int) -> bool:

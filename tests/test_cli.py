@@ -394,6 +394,19 @@ def test_tables_without_csv_prints_csv_and_no_manifest(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_truncated_table_row_keeps_examined_families(tmp_path, monkeypatch,
+                                                    capsys):
+    # 3 of the first 100 q=3 depth-3 families reach base_max 8; the best
+    # gives 24.  The row keeps them, and the table ends there.
+    monkeypatch.chdir(tmp_path)
+    rc = main(["tables", "--which", "table1", "--q", "3", "--n-max", "6",
+               "--max-families", "100"])
+    assert rc == 3
+    assert capsys.readouterr().out == (
+        "which,q,n,base_max,families_at_max,value,bold,truncated\r\n"
+        "table1,3,5,8,3,24,no,yes\r\n")
+
+
 def test_deterministic_outputs(tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -1,15 +1,16 @@
 import pytest
 
 from overlapcodes.constructions import (KINDS, CodeTooLarge, ConstructionSpec,
-                                        DisjointnessViolation, claimed_windows,
-                                        code_size_1k, lift_code,
+                                        DisjointnessViolation, _t1t2_terms,
+                                        claimed_windows, code_size_1k, lift_code,
                                         non_overlapping, non_overlapping_size,
                                         overlap_free_1k, pad_t1t2,
                                         project_code, run_construction,
                                         simultaneous, simultaneous_size,
                                         t1t2_expanded, wmu_expanded, wmu_size)
-from overlapcodes.families import balanced_family, enumerate_families, family
-from overlapcodes.words import code, verify_overlap_free
+from overlapcodes.families import (balanced_family, compositions,
+                                   enumerate_families, family)
+from overlapcodes.words import DIGITS, code, verify_overlap_free
 
 EXAMPLE_FAMILY = family(3, [({"0", "1"}, {"2"}), ({"02"}, {"12"})])
 PAD_FAMILY = family(2, [({"0"}, {"1"}), (set(), {"01"})])
@@ -303,3 +304,35 @@ def test_pad_from_family_matches_layered_base():
     spec = ConstructionSpec(kind="PadT1T2", n=5, family=DEPTH3, t1=2, t2=3)
     assert run_construction(spec).words == pad_t1t2(
         non_overlapping(DEPTH3, 4), 2, 3).words
+
+
+def looped_t1t2_terms(f, n, t1, t2):
+    """_t1t2_terms with every factor looked up per term: the reference for
+    its term order."""
+    for pad in range(0, t1):
+        sigma = (frozenset(DIGITS[:f.q]),) * pad
+        for s in range(t1 + t2 - pad, n - pad + 1):
+            j_lo, j_hi = s - t2, t2
+            if j_lo > j_hi:
+                continue
+            for alpha in compositions(n - pad - s):
+                for i in range(0, len(alpha) + 1):
+                    for j in range(j_lo, j_hi + 1):
+                        yield (tuple(f.left(a) for a in alpha[:i])
+                               + (f.left(j), f.right(s - j))
+                               + tuple(f.right(a) for a in alpha[i:])
+                               + sigma)
+
+
+TERM_FAMILIES = (list(enumerate_families(2, 4))[::3]
+                 + list(enumerate_families(3, 4))[::2500]
+                 + [balanced_family(3, 1, 4, "R_empty")])
+
+
+@pytest.mark.parametrize("n,t1,t2", [(2, 1, 1), (4, 1, 2), (5, 1, 4),
+                                     (5, 2, 2), (6, 2, 3), (7, 1, 3),
+                                     (7, 3, 4), (8, 2, 4)])
+def test_t1t2_terms_match_looped_generator(n, t1, t2):
+    for f in TERM_FAMILIES:
+        assert (list(_t1t2_terms(f, n, t1, t2))
+                == list(looped_t1t2_terms(f, n, t1, t2)))

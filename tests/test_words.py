@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlapcodes.words import (CodeSet, OverlapWitness, all_words, code,
-                                divisors, is_primitive, least_period, mobius,
+from overlapcodes.words import (DIGITS, CodeSet, OverlapWitness, all_words,
+                                check_alphabet, check_window, code, divisors,
+                                is_primitive, least_period, mobius,
                                 overlap_lengths, primitive_count,
                                 self_compatible, verify_overlap_free)
 
@@ -157,3 +158,37 @@ def test_codeset_validation():
     c = code(2, 3, {"001", "011"}, window=(1, 2))
     assert len(c) == 2
     assert c.sorted_words() == ["001", "011"]
+
+
+def loop_codeset_error(q, n, words, window):
+    """The CodeSet checks as a per-word loop: the reference for the error
+    texts of CodeSet.__post_init__."""
+    try:
+        check_alphabet(q)
+        if n < 1:
+            raise ValueError("block length must be positive")
+        for w in words:
+            if len(w) != n:
+                raise ValueError(f"word {w!r} does not have length {n}")
+        bad = set().union(*words) - set(DIGITS[:q])
+        if bad:
+            raise ValueError(f"symbol {min(bad)!r} not in alphabet of size {q}")
+        if window is not None:
+            check_window(n, *window)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.integers(1, 4), st.integers(0, 4),
+       st.frozensets(st.text(alphabet="0123", max_size=5), max_size=8),
+       st.none() | st.tuples(st.integers(0, 4), st.integers(0, 4)))
+@settings(max_examples=300, deadline=None)
+def test_codeset_errors_match_word_loop(q, n, words, window):
+    expected = loop_codeset_error(q, n, words, window)
+    try:
+        CodeSet(q=q, n=n, words=words, window=window)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
