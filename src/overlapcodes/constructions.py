@@ -10,6 +10,10 @@ One generator, ``_t1t2_terms``, yields the layered terms; the (1, k) code is
 its t1 = 1 case and the non-overlapping code is the (1, n-1) code.  Each
 size formula is an independent oracle that shares its builder's argument
 checks.  ``KINDS`` gives each spec kind its fields, builder and windows.
+
+Every derived word set, ``lift_code`` and the ``search.max_code`` witnesses
+included, is a list of terms filled by ``_materialize``, which raises
+``CodeTooLarge`` before filling when the term sizes sum past ``MAX_WORDS``.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .families import PartitionFamily, checked, compositions
 from .words import DIGITS, CodeSet, check_window, code, verify_overlap_free
 
-DEFAULT_MAX_WORDS = 10_000_000
+MAX_WORDS = 10_000_000
 
 
 class CodeTooLarge(RuntimeError):
-    """Predicted code size exceeds the materialization cap."""
+    """A word set or graph would exceed its size cap."""
 
 
 class DisjointnessViolation(RuntimeError):
@@ -41,19 +45,18 @@ def _alphabet_factors(q: int, count: int) -> tuple[frozenset[str], ...]:
 
 def _materialize(terms: Iterable[Sequence[frozenset[str]]], *, q: int, n: int,
                  window: tuple[int, int] | None, strict: bool,
-                 max_words: int, label: str) -> CodeSet:
-    """The union of the terms' concatenation products.  Each term is counted
-    by its size product against max_words before it is filled, and filled at
-    C level by joining its ``itertools.product`` tuples into the word set;
-    a word count below the sum of the term sizes means the terms overlap."""
+                 label: str) -> CodeSet:
+    """The union of the terms' concatenation products.  The term sizes are
+    summed against MAX_WORDS before any term is filled; each term is filled
+    at C level by joining its ``itertools.product`` tuples into the word
+    set, and a word count below the summed sizes means the terms overlap."""
+    terms = list(terms)
+    generated = sum(prod(map(len, factors)) for factors in terms)
+    if generated > MAX_WORDS:
+        raise CodeTooLarge(f"{label}: more than {MAX_WORDS} words would be "
+                           f"generated ({generated})")
     words: set[str] = set()
-    generated = 0
     for factors in terms:
-        generated += prod(map(len, factors))
-        if generated > max_words:
-            raise CodeTooLarge(
-                f"{label}: more than {max_words} words would be generated; "
-                f"use the size formula instead or raise max_words")
         words.update(map("".join, iproduct(*factors)))
     if generated != len(words):
         message = (f"{label}: union terms are not disjoint "
@@ -99,13 +102,13 @@ def _t1t2_terms(f: PartitionFamily, n: int, t1: int, t2: int,
                         yield head + (left[j], right[s - j]) + tail
 
 
-def non_overlapping(f: PartitionFamily, n: int, *, strict: bool = False,
-                    max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
+def non_overlapping(f: PartitionFamily, n: int, *,
+                    strict: bool = False) -> CodeSet:
     """The layered code ``union(L_i R_{n-i} for i in [1, n-1])``; it is
     overlap-free on the whole window (1, n-1)."""
     if n < 2:
         raise ValueError("block length must be >= 2")
-    return overlap_free_1k(f, n, n - 1, strict=strict, max_words=max_words)
+    return overlap_free_1k(f, n, n - 1, strict=strict)
 
 
 def non_overlapping_size(f: PartitionFamily, n: int) -> int:
@@ -113,14 +116,13 @@ def non_overlapping_size(f: PartitionFamily, n: int) -> int:
     return sum(len(f.left(i)) * len(f.right(n - i)) for i in range(1, n))
 
 
-def overlap_free_1k(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
-                    max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
+def overlap_free_1k(f: PartitionFamily, n: int, k: int, *,
+                    strict: bool = False) -> CodeSet:
     """The (1, k)-overlap-free code built from all compositions of the slack
     n - s around a central block ``L_j R_{s-j}`` with s in [k+1, n]."""
     _check_terms(f, n, 1, k, "overlap_free_1k")
     return _materialize(_t1t2_terms(f, n, 1, k), q=f.q, n=n, window=(1, k),
-                        strict=strict, max_words=max_words,
-                        label="overlap_free_1k")
+                        strict=strict, label="overlap_free_1k")
 
 
 def code_size_1k(f: PartitionFamily, n: int, k: int) -> int:
@@ -136,8 +138,8 @@ def _check_wmu(f: PartitionFamily, n: int, k: int, label: str) -> None:
     _require_depth(f, n - 1, label)
 
 
-def wmu_expanded(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
-                 max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
+def wmu_expanded(f: PartitionFamily, n: int, k: int, *,
+                 strict: bool = False) -> CodeSet:
     """Expand a depth-(n-1) family into a weakly-mutually-uncorrelated code of
     length n + k: ``union(L_i R_j Sigma^(n+k-i-j) for n <= i+j <= n+k)`` with
     i, j in [1, n-1].  The result is (k+1, n+k-1)-overlap-free."""
@@ -147,7 +149,7 @@ def wmu_expanded(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
              for j in range(1, n)
              if n <= i + j <= n + k]
     return _materialize(terms, q=f.q, n=n + k, window=(k + 1, n + k - 1),
-                        strict=strict, max_words=max_words, label="wmu_expanded")
+                        strict=strict, label="wmu_expanded")
 
 
 def wmu_size(f: PartitionFamily, n: int, k: int) -> int:
@@ -158,8 +160,7 @@ def wmu_size(f: PartitionFamily, n: int, k: int) -> int:
                if n <= i + j <= n + k)
 
 
-def pad_t1t2(x: CodeSet, t1: int, t2: int, *,
-             max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
+def pad_t1t2(x: CodeSet, t1: int, t2: int) -> CodeSet:
     """Append t1-1 free symbols to a (1, t2)-overlap-free code (a fully
     non-overlapping one when t2 reaches past the base length); the result is
     (t1, t2)-overlap-free at length ``x.n + t1 - 1``."""
@@ -173,18 +174,16 @@ def pad_t1t2(x: CodeSet, t1: int, t2: int, *,
             f"{witness.u!r} is a suffix of {witness.v!r} at t={witness.t}")
     terms = [(frozenset(x.words),) + _alphabet_factors(x.q, t1 - 1)]
     return _materialize(terms, q=x.q, n=n, window=(t1, t2), strict=True,
-                        max_words=max_words, label="pad_t1t2")
+                        label="pad_t1t2")
 
 
 def t1t2_expanded(f: PartitionFamily, n: int, t1: int, t2: int, *,
-                  strict: bool = False,
-                  max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
+                  strict: bool = False) -> CodeSet:
     """The (t1, t2)-overlap-free expansion that layers free tails of every
     length below t1 over the (1, t2) construction.  Requires t1 + t2 <= n."""
     _check_terms(f, n, t1, t2, "t1t2_expanded")
     return _materialize(_t1t2_terms(f, n, t1, t2), q=f.q, n=n, window=(t1, t2),
-                        strict=strict, max_words=max_words,
-                        label="t1t2_expanded")
+                        strict=strict, label="t1t2_expanded")
 
 
 def _check_simultaneous(f: PartitionFamily, n: int, k: int, label: str) -> None:
@@ -194,8 +193,8 @@ def _check_simultaneous(f: PartitionFamily, n: int, k: int, label: str) -> None:
     _require_depth(f, k, label)
 
 
-def simultaneous(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
-                 max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
+def simultaneous(f: PartitionFamily, n: int, k: int, *,
+                 strict: bool = False) -> CodeSet:
     """A code that is both (1, k)- and (n-k, n-1)-overlap-free: the length
     k+1 layered code, a free middle, and every composition of k as an R-tail.
     Requires k < n/2."""
@@ -205,7 +204,7 @@ def simultaneous(f: PartitionFamily, n: int, k: int, *, strict: bool = False,
              for head in _t1t2_terms(f, k + 1, 1, k)
              for alpha in compositions(k)]
     return _materialize(terms, q=f.q, n=n, window=(1, k), strict=strict,
-                        max_words=max_words, label="simultaneous")
+                        label="simultaneous")
 
 
 def simultaneous_size(f: PartitionFamily, n: int, k: int) -> int:
@@ -215,7 +214,15 @@ def simultaneous_size(f: PartitionFamily, n: int, k: int) -> int:
     return base * f.q ** (n - 2 * k - 1) * tails
 
 
-def lift_code(c: CodeSet, n: int, *, max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
+def _lift_terms(words: Iterable[str], t2: int, free: int, q: int,
+                ) -> list[tuple[frozenset[str], ...]]:
+    """One term per word: its first t2 symbols, free symbols, its rest."""
+    sigma = _alphabet_factors(q, free)
+    return [(frozenset((w[:t2],)), *sigma, frozenset((w[t2:],)))
+            for w in words]
+
+
+def lift_code(c: CodeSet, n: int) -> CodeSet:
     """Insert all free middles into a code of length 2*t2, preserving its
     window; the size multiplies by q^(n - 2 t2)."""
     if c.window is None:
@@ -225,14 +232,8 @@ def lift_code(c: CodeSet, n: int, *, max_words: int = DEFAULT_MAX_WORDS) -> Code
         raise ValueError(f"lift_code: base length must be 2*t2 = {2 * t2}, got {c.n}")
     if n <= c.n:
         raise ValueError("lift_code: target length must exceed the base length")
-    words: set[str] = set()
-    count = len(c.words) * c.q ** (n - c.n)
-    if count > max_words:
-        raise CodeTooLarge(f"lift_code: {count} words exceed cap {max_words}")
-    for w in c.words:
-        for mid in iproduct(DIGITS[: c.q], repeat=n - c.n):
-            words.add(w[:t2] + "".join(mid) + w[t2:])
-    return code(c.q, n, words, c.window)
+    return _materialize(_lift_terms(c.words, t2, n - c.n, c.q), q=c.q, n=n,
+                        window=c.window, strict=True, label="lift_code")
 
 
 def project_code(c: CodeSet, t2: int) -> CodeSet:
@@ -265,12 +266,12 @@ def _pad_spec(s: ConstructionSpec, **kw) -> CodeSet:
             raise ValueError("PadT1T2 requires a family or a base code")
         base_n = s.n - s.t1 + 1
         base = overlap_free_1k(s.family, base_n, min(s.t2, base_n - 1), **kw)
-    return pad_t1t2(base, s.t1, s.t2, max_words=kw["max_words"])
+    return pad_t1t2(base, s.t1, s.t2)
 
 
 class Kind(NamedTuple):
     fields: tuple[str, ...]  # spec fields that must not be None
-    build: Callable[..., CodeSet]  # (spec, *, strict, max_words)
+    build: Callable[..., CodeSet]  # (spec, *, strict)
     windows: Callable[[ConstructionSpec], list[tuple[int, int]]]
 
 
@@ -310,6 +311,5 @@ def claimed_windows(spec: ConstructionSpec) -> list[tuple[int, int]]:
     return _kind(spec).windows(spec)
 
 
-def run_construction(spec: ConstructionSpec, *, strict: bool = False,
-                     max_words: int = DEFAULT_MAX_WORDS) -> CodeSet:
-    return _kind(spec).build(spec, strict=strict, max_words=max_words)
+def run_construction(spec: ConstructionSpec, *, strict: bool = False) -> CodeSet:
+    return _kind(spec).build(spec, strict=strict)

@@ -25,7 +25,11 @@ desk-scale parameter space:
                    tail keys with the fewest prefix strings first, so walk
                    the non-decreasing row-sum tuples.
 
-``METHODS`` lists these names and ``auto``, which picks among them.
+``METHODS`` lists these names and ``auto``, which picks among them.  Each
+engine's witness is a list of concatenation terms of length n, which
+``max_code`` fills with ``constructions._materialize`` (capped at
+``MAX_WORDS``); ``build_graph`` caps its universe at ``VERTEX_CAP`` words.
+Both caps raise ``CodeTooLarge``.
 ``table_rows`` builds the expansion tables: it expands the maximum
 non-overlapping codes found by search with the layered construction.
 """
@@ -36,7 +40,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
-from .constructions import (code_size_1k, lift_code, non_overlapping_size,
+from .constructions import (CodeTooLarge, _alphabet_factors, _lift_terms,
+                            _materialize, code_size_1k, non_overlapping_size,
                             overlap_free_1k)
 from .families import (EnumerationBudgetExceeded, PartitionFamily, checked,
                        enumerate_families, family_from_code)
@@ -44,7 +49,8 @@ from .words import (CodeSet, all_words, check_alphabet, check_window, code,
                     self_compatible, verify_overlap_free)
 
 DEFAULT_NODE_BUDGET = 20_000_000
-DEFAULT_VERTEX_CAP = 1 << 20
+TABLE_NODE_BUDGET = 2_000_000
+VERTEX_CAP = 1 << 20
 _RECTANGLE_ASSIGNMENT_CAP = 1 << 13
 _RECTANGLE_SIDE_CAP = 1 << 12
 _CLASSCOUNT_CAP = 1 << 12
@@ -57,10 +63,6 @@ class SearchBudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
-    q: int
-    n: int
-    t1: int
-    t2: int
     vertices: tuple[str, ...]
     adjacency: tuple[int, ...]
 
@@ -82,15 +84,15 @@ class CompatibilityGraph:
         return cand
 
 
-def build_graph(q: int, n: int, t1: int, t2: int, *,
-                vertex_cap: int = DEFAULT_VERTEX_CAP) -> CompatibilityGraph:
+def build_graph(q: int, n: int, t1: int, t2: int) -> CompatibilityGraph:
     """Vertices: self-compatible words in lexicographic order.  Edge absent
     iff some t in [t1, t2] makes a prefix of one word a suffix of the other,
     in either direction."""
     check_alphabet(q)
     check_window(n, t1, t2)
-    if q ** n > vertex_cap:
-        raise ValueError(f"universe of {q ** n} words exceeds vertex cap {vertex_cap}")
+    if q ** n > VERTEX_CAP:
+        raise CodeTooLarge(f"universe of {q ** n} words exceeds vertex cap "
+                           f"{VERTEX_CAP}")
     verts = [w for w in all_words(q, n) if self_compatible(w, t1, t2)]
     conflict = [1 << i for i in range(len(verts))]
     for t in range(t1, t2 + 1):
@@ -105,7 +107,7 @@ def build_graph(q: int, n: int, t1: int, t2: int, *,
             conflict[i] |= by_suffix.get(w[:t], 0) | by_prefix.get(w[cut:], 0)
     full = (1 << len(verts)) - 1
     adj = tuple(full ^ mask for mask in conflict)
-    return CompatibilityGraph(q, n, t1, t2, tuple(verts), adj)
+    return CompatibilityGraph(tuple(verts), adj)
 
 
 class _MaxClique:
@@ -270,7 +272,8 @@ def _classcount_feasible(q: int, n: int, t1: int, t2: int) -> bool:
     return True
 
 
-def _classcount_max(q: int, n: int, t: int) -> tuple[int, set[str]]:
+def _classcount_max(q: int, n: int, t: int,
+                    ) -> tuple[int, list[tuple[frozenset[str], ...]]]:
     """Exact maximum for a single-level window t1 = t2 = t with n < 2t.
 
     A code is a pair (P, S) of disjoint subsets of Sigma^t (realized prefixes
@@ -280,7 +283,9 @@ def _classcount_max(q: int, n: int, t: int) -> tuple[int, set[str]]:
     sum_k col_k * (cap - r_k), where col_k counts the strings of P under
     tail key k: linear in the class counts once r is fixed, so each head key
     fills the tail keys with the smallest r first.  Relabelling the keys
-    permutes r, so only non-decreasing r are walked.
+    permutes r, so only non-decreasing r are walked.  The witness is one
+    term per key k: the strings of P ending in k, then the strings of S
+    starting with k with k dropped.
     """
     head = 2 * t - n
     mult = q ** (t - 2 * head)  # strings per (head-key, tail-key) class
@@ -299,18 +304,15 @@ def _classcount_max(q: int, n: int, t: int) -> tuple[int, set[str]]:
             best_val, best_rows = val, rows
 
     middles = list(all_words(q, t - 2 * head))
-    p_side: set[str] = set()
-    s_side: set[str] = set()
+    p_side: dict[str, set[str]] = {k: set() for k in keys}
+    s_side: dict[str, set[str]] = {k: set() for k in keys}
     for ka, row in zip(keys, counts(best_rows)):
         for kb, taken in zip(keys, row):
-            strings = [ka + mid + kb for mid in middles]
-            p_side.update(strings[:taken])
-            s_side.update(strings[taken:])
-    words = {x + y[head:]
-             for x in p_side
-             for y in s_side
-             if x[t - head:] == y[:head]}
-    return best_val, words
+            rests = [mid + kb for mid in middles]
+            p_side[kb].update(ka + x for x in rests[:taken])
+            s_side[ka].update(rests[taken:])
+    return best_val, [(frozenset(p_side[k]), frozenset(s_side[k]))
+                      for k in keys]
 
 
 @dataclass(frozen=True)
@@ -324,14 +326,11 @@ class SearchResult:
 
 def max_code(q: int, n: int, t1: int, t2: int, *,
              node_budget: int = DEFAULT_NODE_BUDGET,
-             method: str = "auto",
-             vertex_cap: int = DEFAULT_VERTEX_CAP,
-             max_words: int = 10_000_000) -> SearchResult:
+             method: str = "auto") -> SearchResult:
     """A maximum (t1, t2)-overlap-free code, exact unless the node budget is
     exhausted.  method is one of METHODS; auto takes classcount, then
-    rectangle, where they apply, and else quotient.
-    vertex_cap bounds the graph the branch and bound builds, max_words the
-    witness."""
+    rectangle, where they apply, and else quotient.  Raises CodeTooLarge
+    when the graph or the witness would pass its cap."""
     check_alphabet(q)
     check_window(n, t1, t2)
     if method not in METHODS:
@@ -346,30 +345,28 @@ def max_code(q: int, n: int, t1: int, t2: int, *,
                          "small key classes")
     nodes, exact, base_n = 0, True, n
     if method in ("auto", "classcount") and use_classcount:
-        value, words = _classcount_max(q, n, t2)
+        value, terms = _classcount_max(q, n, t2)
         used = "classcount"
     elif method in ("auto", "rectangle") and use_rectangle:
         value, p_side, s_side = _rectangle_max(q, t1, t2)
-        words = {p + s for p in p_side for s in s_side}
         base_n, used = 2 * t2, "rectangle"
+        terms = [(frozenset(p_side), *_alphabet_factors(q, n - base_n),
+                  frozenset(s_side))]
     else:
         # Compatibility only reads the first and last t2 symbols, so beyond
         # n = 2*t2 the graph is the 2*t2 graph with every middle inserted.
         if method != "raw":
             base_n = min(n, 2 * t2)
         used = "raw" if method == "raw" else "quotient"
-        graph = build_graph(q, base_n, t1, t2, vertex_cap=vertex_cap)
+        graph = build_graph(q, base_n, t1, t2)
         value, mask, nodes, exact = _MaxClique(graph.adjacency,
                                                node_budget).solve()
-        words = graph.words(mask)
-    if len(words) != value:
-        raise AssertionError(f"{used} witness disagrees with its size")
+        terms = _lift_terms(graph.words(mask), t2, n - base_n, q)
     size = value * q ** (n - base_n)
-    if size > max_words:
-        raise ValueError(f"witness of {size} words exceeds max_words")
-    witness = code(q, base_n, words, (t1, t2))
-    if base_n < n:
-        witness = lift_code(witness, n, max_words=max_words)
+    witness = _materialize(terms, q=q, n=n, window=(t1, t2), strict=True,
+                           label=used)
+    if len(witness) != size:
+        raise AssertionError(f"{used} witness disagrees with its size")
     if verify_overlap_free(witness, t1, t2) is not None:
         raise AssertionError(f"{used} witness failed verification")
     return SearchResult(size=size, code=witness, exact=exact, nodes=nodes,
@@ -412,13 +409,12 @@ def greedy_complete(c: CodeSet, t1: int, t2: int,
 
 
 def enumerate_maximal_codes(q: int, n: int, t1: int, t2: int, *,
-                            vertex_cap: int = DEFAULT_VERTEX_CAP,
                             graph: CompatibilityGraph | None = None,
                             ) -> Iterator[CodeSet]:
     """All maximal (t1, t2)-overlap-free codes (maximal cliques), via
     Bron-Kerbosch with pivoting; deterministic order."""
     if graph is None:
-        graph = build_graph(q, n, t1, t2, vertex_cap=vertex_cap)
+        graph = build_graph(q, n, t1, t2)
     adj = graph.adjacency
     m = len(graph.vertices)
 
@@ -586,7 +582,6 @@ class RoundTripCounterexample:
 
 
 def all_maximal_from_construction(q: int, n: int, k: int, *,
-                                  vertex_cap: int = DEFAULT_VERTEX_CAP,
                                   max_codes: int | None = None,
                                   ) -> RoundTripCounterexample | None:
     """Check that every maximal (1, k)-overlap-free code is rebuilt exactly
@@ -596,8 +591,7 @@ def all_maximal_from_construction(q: int, n: int, k: int, *,
     too large to sweep."""
     if 2 * k < n:
         raise ValueError("all_maximal_from_construction: requires k >= n/2")
-    for i, c in enumerate(enumerate_maximal_codes(q, n, 1, k,
-                                                  vertex_cap=vertex_cap)):
+    for i, c in enumerate(enumerate_maximal_codes(q, n, 1, k)):
         if max_codes is not None and i >= max_codes:
             break
         f = family_from_code(c, k)
@@ -607,8 +601,8 @@ def all_maximal_from_construction(q: int, n: int, k: int, *,
     return None
 
 
-def table_rows(which: str, q: int, n_max: int, *, max_families: int | None,
-               search_budget: int = 2_000_000) -> Iterator[dict]:
+def table_rows(which: str, q: int, n_max: int, *,
+               max_families: int | None) -> Iterator[dict]:
     """Rows (n, base_max, families_at_max, value, bold, truncated,
     base_exact) of the layered-construction tables.
 
@@ -628,7 +622,7 @@ def table_rows(which: str, q: int, n_max: int, *, max_families: int | None,
     for n in range(n_lo, n_max + 1):
         base_n = n - gap
         k = base_n - 1
-        base = max_code(q, base_n, 1, k, node_budget=search_budget)
+        base = max_code(q, base_n, 1, k, node_budget=TABLE_NODE_BUDGET)
         values, truncated = [], False
         try:
             for f in enumerate_families(q, k, max_families=max_families):

@@ -59,7 +59,7 @@ class CodeSet:
         if not set(map(len, self.words)) <= {self.n}:
             w = next(w for w in self.words if len(w) != self.n)
             raise ValueError(f"word {w!r} does not have length {self.n}")
-        bad = set().union(*self.words) - set(DIGITS[: self.q])
+        bad = set("".join(self.words)) - set(DIGITS[: self.q])
         if bad:
             raise ValueError(f"symbol {min(bad)!r} not in alphabet of size "
                              f"{self.q}")

@@ -237,6 +237,19 @@ def test_search_json_schema(tmp_path):
     assert payload["size"] == 1 and payload["exact"]
 
 
+@pytest.mark.parametrize("t1,t2,complaint", [
+    ("1", "2", "more than 10000000 words"),  # rectangle witness
+    ("3", "20", "exceeds vertex cap"),  # 2^30-word graph
+])
+def test_search_over_cap_exits_budget(tmp_path, capsys, t1, t2, complaint):
+    out = tmp_path / "search.json"
+    rc = main(["search", "--q", "2", "--n", "30", "--t1", t1, "--t2", t2,
+               "--json", str(out)])
+    assert rc == 3 and not out.exists()
+    err = capsys.readouterr().err
+    assert complaint in err and len(err.splitlines()) == 1
+
+
 def test_tables_csv(tmp_path):
     out = tmp_path / "t1.csv"
     rc = main(["tables", "--which", "table1", "--q", "2", "--n-max", "5",

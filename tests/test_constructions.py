@@ -231,17 +231,18 @@ def test_d1_d2_expansion_identities(q, k):
 
 
 def test_strict_mode_flags_duplicates():
-    # overlapping union terms only arise from invalid usage; fabricate one by
-    # calling the generator twice over the same term through pad with t1=1
-    f = family(2, [({"0"}, {"1"})])
-    c = non_overlapping(f, 2, strict=True)  # no duplicates: passes
-    assert len(c) == 1
+    # two of this family's (2, 3) terms at n = 6 both give 001011
+    f = family(2, [({"0"}, {"1"}), (set(), {"01"}), ({"001"}, set())])
+    with pytest.raises(DisjointnessViolation, match=r"8 generated, 7 distinct"):
+        t1t2_expanded(f, 6, 2, 3, strict=True)
+    with pytest.warns(UserWarning, match=r"not disjoint"):
+        assert len(t1t2_expanded(f, 6, 2, 3)) == 7
 
 
 def test_size_cap():
-    f = family(3, [({"0", "1"}, {"2"})])
-    with pytest.raises(CodeTooLarge):
-        wmu_expanded(f, 2, 0, max_words=0)
+    # 36^5 words predicted: the cap raises before any word is filled
+    with pytest.raises(CodeTooLarge, match="more than 10000000 words"):
+        pad_t1t2(code(36, 2, {"01"}), 6, 6)
 
 
 def test_run_construction_dispatch():

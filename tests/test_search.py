@@ -1,5 +1,5 @@
 import time
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -110,15 +110,22 @@ def test_witness_always_verifies():
         assert len(r.code.words) == r.size
 
 
-def test_size_invariant_under_symbol_relabeling():
-    base = max_code(3, 4, 1, 2).size
-    # relabeling the alphabet cannot change the maximum size; spot-check by
-    # searching the window with symbols permuted via a relabeled graph
-    perm = {"0": "2", "1": "0", "2": "1"}
-    g = build_graph(3, 4, 1, 2)
-    relabeled = {"".join(perm[ch] for ch in w) for w in g.vertices}
-    assert relabeled == set(g.vertices)  # vertex set closed under relabeling
-    assert max_code(3, 4, 1, 2).size == base
+def test_witness_images_under_symbol_permutation_and_reversal():
+    # symbol permutations and word reversal map overlap-free codes to
+    # overlap-free codes of the same size; one window per engine
+    for window, method in [((3, 5, 3, 3), "classcount"),
+                           ((3, 6, 2, 2), "rectangle"),
+                           ((3, 5, 2, 3), "quotient")]:
+        r = max_code(*window)
+        assert (r.method, len(r.code)) == (method, r.size)
+        for perm in permutations("012"):
+            table = str.maketrans("012", "".join(perm))
+            for step in (1, -1):
+                image = {w.translate(table)[::step] for w in r.code.words}
+                assert len(image) == r.size, (window, perm, step)
+                assert verify_overlap_free(code(3, window[1], image),
+                                           *window[2:]) is None, \
+                    (window, perm, step)
 
 
 def test_budget_exhaustion_flags_inexact():
@@ -249,10 +256,10 @@ def count_vector_max(q, n, t):
                                    (3, 5, 3), (4, 3, 2)])
 def test_classcount_row_sums_match_count_vector_walk(q, n, t):
     expect = count_vector_max(q, n, t)
-    value, words = _classcount_max(q, n, t)
-    assert value == expect == len(words)
+    value, _ = _classcount_max(q, n, t)
+    assert value == expect
     r = max_code(q, n, t, t, method="classcount")
-    assert (r.size, r.exact) == (expect, True)
+    assert (r.size, len(r.code), r.exact) == (expect, expect, True)
     assert verify_overlap_free(r.code, t, t) is None
 
 
