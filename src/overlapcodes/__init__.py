@@ -13,8 +13,8 @@ from .constructions import (ConstructionSpec, claimed_windows, code_size_1k,
                             overlap_free_1k, pad_t1t2, project_code,
                             run_construction, simultaneous, simultaneous_size,
                             t1t2_expanded, wmu_expanded, wmu_size)
-from .families import (DecompositionTrace, EnumerationBudgetExceeded,
-                       PartitionFamily, balanced_family, compositions,
+from .families import (DecompositionTrace, PartitionFamily,
+                       balanced_family, compositions, count_vectors,
                        decompose, enumerate_families, family,
                        family_from_code, validate)
 from .search import (CompatibilityGraph, MaximalityCertificate, SearchResult,

@@ -2,8 +2,11 @@
 families.  Each command is a thin shell over the library; ``tables`` prints
 ``search.table_rows`` and ``search --method`` takes ``search.METHODS``.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage, 3 budget or size cap
-exhausted.  Every artifact goes through ``_emit``: to stdout when no path
+Exit codes: 0 ok, 1 verification failure, 2 usage (a negative ``--budget``
+or ``--max-families`` too), 3 budget or size cap exhausted.  ``tables``
+marks a row ``truncated`` when its base search ran out of node budget, so
+base_max is not certified maximum; that row ends the table, and the command
+exits 3.  Every artifact goes through ``_emit``: to stdout when no path
 is given, else to its file with a ``<file>.manifest.json`` sidecar recording
 the command, parameters, seed, and the artifact's sha256.  A library
 warning prints as one ``warning: <message>`` line on stderr.
@@ -19,7 +22,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +32,7 @@ from .channel import (CorruptionSpec, burst_range, corrupt, detection_offset,
 from .constructions import (KINDS, CodeTooLarge, ConstructionSpec,
                             DisjointnessViolation, claimed_windows,
                             run_construction)
-from .families import EnumerationBudgetExceeded, enumerate_families
+from .families import enumerate_families
 from .fileio import (FormatError, RunManifest, format_code, format_family,
                      read_code, read_family, sha256_digest, write_manifest)
 from .search import METHODS, max_code, table_rows
@@ -208,21 +211,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    params = {"which": args.which, "q": args.q, "n_max": args.n_max,
-              "max_families": args.max_families}
-    rows = list(table_rows(args.which, args.q, args.n_max,
-                           max_families=args.max_families))
+    params = {"which": args.which, "q": args.q, "n_max": args.n_max}
+    rows = list(table_rows(args.which, args.q, args.n_max))
     lines = [["which", "q", "n", "base_max", "families_at_max", "value",
               "bold", "truncated"]]
     for row in rows:
         lines.append([args.which, args.q, row["n"], row["base_max"],
                       row["families_at_max"], row["value"],
                       "yes" if row["bold"] else "no",
-                      "yes" if row["truncated"] else "no"])
+                      "no" if row["base_exact"] else "yes"])
     _emit(args, args.csv, _csv(lines), params)
-    if any(row["truncated"] for row in rows):
-        return EXIT_BUDGET
-    return EXIT_OK
+    if all(row["base_exact"] for row in rows):
+        return EXIT_OK
+    return EXIT_BUDGET
 
 
 def _check_edits(data) -> None:
@@ -321,15 +322,10 @@ def _cmd_families(args: argparse.Namespace) -> int:
     if args.q is None or args.k is None:
         sys.stderr.write("families: give --q and --k (or --validate FILE)\n")
         return EXIT_USAGE
-    chunks = []
-    budget_hit = False
-    try:
-        for f in enumerate_families(args.q, args.k,
-                                    max_families=args.max_families):
-            chunks.append(format_family(f))
-    except EnumerationBudgetExceeded:
-        budget_hit = True
-    text = "\n".join(chunks)
+    limit = None if args.max_families is None else args.max_families + 1
+    families = list(islice(enumerate_families(args.q, args.k), limit))
+    budget_hit = len(families) == limit
+    text = "\n".join(map(format_family, families[:args.max_families]))
     if budget_hit:
         text += "\n# TRUNCATED: family budget exhausted\n"
     params = {"q": args.q, "k": args.k, "max_families": args.max_families}
@@ -384,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True, choices=["table1", "table2"])
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--max-families", type=int, default=None)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_tables)
 
@@ -411,6 +406,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.started = time.time()
+    for option in ("budget", "max_families"):
+        value = getattr(args, option, None)
+        if value is not None and value < 0:
+            sys.stderr.write(f"error: --{option.replace('_', '-')} must be "
+                             f">= 0, got {value}\n")
+            return EXIT_USAGE
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

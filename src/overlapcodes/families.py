@@ -4,20 +4,20 @@ A family of depth k is a list of pairs of disjoint word sets.  Level 1
 splits the alphabet into two non-empty parts; level i >= 2 splits the
 concatenation layer ``union(L_j R_{i-j} for j in [1, i-1])``.  Families
 generate every code construction in this package.
+
+``count_vectors`` walks level-count vectors in place of families: every size
+formula reads only the counts |L_i|, so one family stands for each vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from operator import itemgetter
 from typing import Iterator, Literal, Sequence
 
 from .words import DIGITS, CodeSet, check_alphabet, check_word, verify_overlap_free
-
-
-class EnumerationBudgetExceeded(RuntimeError):
-    """Raised by enumerate_families when the family budget runs out."""
 
 
 @dataclass(frozen=True)
@@ -101,30 +101,21 @@ def checked(f: PartitionFamily) -> PartitionFamily:
     return f
 
 
-def enumerate_families(q: int, k: int, max_families: int | None = None,
-                       ) -> Iterator[PartitionFamily]:
+def enumerate_families(q: int, k: int) -> Iterator[PartitionFamily]:
     """All valid families of depth k, deterministically.
 
     Levels are filled left to right; within a level the left set runs through
     subsets of the sorted ground set in binary-counter order (bit j of the
-    counter = membership of the j-th ground element).  Raises
-    EnumerationBudgetExceeded after max_families have been yielded and more
-    remain.
+    counter = membership of the j-th ground element).
     """
     check_alphabet(q)
     if k < 1:
         raise ValueError("depth must be >= 1")
-    count = 0
     alphabet = sorted(DIGITS[:q])
 
     def extend(levels: list) -> Iterator[PartitionFamily]:
-        nonlocal count
         i = len(levels) + 1
         if i > k:
-            if max_families is not None and count >= max_families:
-                raise EnumerationBudgetExceeded(
-                    f"family budget of {max_families} exhausted at q={q}, k={k}")
-            count += 1
             yield PartitionFamily(q=q, levels=tuple(levels))
             return
         if i == 1:
@@ -141,6 +132,31 @@ def enumerate_families(q: int, k: int, max_families: int | None = None,
             levels.pop()
 
     yield from extend([])
+
+
+def count_vectors(q: int, k: int) -> Iterator[tuple[PartitionFamily, int]]:
+    """(family, shared) for each level-count vector (|L_1|, ..., |L_k|) of
+    the valid depth-k families.  Level i splits g_i = sum_j |L_j| |R_{i-j}|
+    words (g_1 = q, 1 <= |L_1| <= q-1), so shared = prod_i C(g_i, |L_i|)
+    families have the vector; the family given takes the first |L_i| words
+    of each sorted ground set."""
+    check_alphabet(q)
+    if k < 1:
+        raise ValueError("depth must be >= 1")
+
+    def extend(levels: tuple, shared: int):
+        if len(levels) == k:
+            yield PartitionFamily(q=q, levels=levels), shared
+            return
+        ground = sorted(concat_layer(PartitionFamily(q, levels), len(levels) + 1))
+        for m in range(len(ground) + 1):
+            yield from extend(levels + ((frozenset(ground[:m]),
+                                         frozenset(ground[m:])),),
+                              shared * comb(len(ground), m))
+
+    for m in range(1, q):
+        yield from extend(((frozenset(DIGITS[:m]), frozenset(DIGITS[m:q])),),
+                          comb(q, m))
 
 
 Side = Literal["R_empty", "L_empty"]

@@ -31,7 +31,8 @@ engine's witness is a list of concatenation terms of length n, which
 ``MAX_WORDS``); ``build_graph`` caps its universe at ``VERTEX_CAP`` words.
 Both caps raise ``CodeTooLarge``.
 ``table_rows`` builds the expansion tables: it expands the maximum
-non-overlapping codes found by search with the layered construction.
+non-overlapping codes found by search with the layered construction, walking
+``families.count_vectors`` in place of every family.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from typing import Iterable, Iterator
 from .constructions import (CodeTooLarge, _alphabet_factors, _lift_terms,
                             _materialize, code_size_1k, non_overlapping_size,
                             overlap_free_1k)
-from .families import (EnumerationBudgetExceeded, PartitionFamily, checked,
-                       enumerate_families, family_from_code)
+from .families import (PartitionFamily, checked, count_vectors,
+                       family_from_code)
 from .words import (CodeSet, all_words, check_alphabet, check_window, code,
                     self_compatible, verify_overlap_free)
 
@@ -601,17 +602,16 @@ def all_maximal_from_construction(q: int, n: int, k: int, *,
     return None
 
 
-def table_rows(which: str, q: int, n_max: int, *,
-               max_families: int | None) -> Iterator[dict]:
-    """Rows (n, base_max, families_at_max, value, bold, truncated,
-    base_exact) of the layered-construction tables.
+def table_rows(which: str, q: int, n_max: int) -> Iterator[dict]:
+    """Rows (n, base_max, families_at_max, value, bold, base_exact) of the
+    layered-construction tables.
 
     table1: expand maximum non-overlapping codes of length n-1 to window
     (1, n-2) codes of length n; bold marks value > q * base_max.
     table2: length n-2 codes to window (1, n-3) at length n; bold marks
-    value > q^2 * base_max.  A row whose family enumeration hits
-    max_families is truncated: it reports the families examined before the
-    budget ran out and ends the table.
+    value > q^2 * base_max.  A row whose base search runs out of
+    TABLE_NODE_BUDGET has base_exact False, counts the families reaching
+    the size found, and ends the table.
     """
     if which == "table1":
         n_lo, gap = 5, 1
@@ -623,16 +623,13 @@ def table_rows(which: str, q: int, n_max: int, *,
         base_n = n - gap
         k = base_n - 1
         base = max_code(q, base_n, 1, k, node_budget=TABLE_NODE_BUDGET)
-        values, truncated = [], False
-        try:
-            for f in enumerate_families(q, k, max_families=max_families):
-                if non_overlapping_size(f, base_n) == base.size:
-                    values.append(code_size_1k(f, n, k))
-        except EnumerationBudgetExceeded:
-            truncated = True
-        best = max(values, default=0)
-        yield {"n": n, "base_max": base.size, "families_at_max": len(values),
+        families, best = 0, 0
+        for f, shared in count_vectors(q, k):
+            if non_overlapping_size(f, base_n) == base.size:
+                families += shared
+                best = max(best, code_size_1k(f, n, k))
+        yield {"n": n, "base_max": base.size, "families_at_max": families,
                "value": best, "bold": best > q ** gap * base.size,
-               "truncated": truncated, "base_exact": base.exact}
-        if truncated:
+               "base_exact": base.exact}
+        if not base.exact:
             return

