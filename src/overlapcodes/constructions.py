@@ -125,10 +125,39 @@ def overlap_free_1k(f: PartitionFamily, n: int, k: int, *,
                         strict=strict, label="overlap_free_1k")
 
 
+def _composition_weights(sizes: Sequence[int], m: int) -> list[int]:
+    """W[0..m] with W[0] = 1 and W[x] = sum_{a <= x} sizes[a] W[x-a]: W[x]
+    is the sum over the compositions (a_1, ..., a_p) of x of
+    prod_i sizes[a_i], split by the first part a = a_1."""
+    weights = [1]
+    for x in range(1, m + 1):
+        weights.append(sum(sizes[a] * weights[x - a] for a in range(1, x + 1)))
+    return weights
+
+
 def code_size_1k(f: PartitionFamily, n: int, k: int) -> int:
-    """Size of overlap_free_1k by the product formula (terms are disjoint)."""
+    """Size of overlap_free_1k, without listing its terms.
+
+    The terms are disjoint, so the size is the sum of their products.  A
+    term is a block ``L_j R_{s-j}`` (s in [k+1, n], j in [s-k, k]) inside a
+    composition alpha of n - s cut at an index i, with heads L_{alpha_1} ..
+    L_{alpha_i} and tails R_{alpha_{i+1}} .. R_{alpha_p}.  Cutting alpha at
+    i gives a composition of some m (the head) and one of n - s - m (the
+    tail), and every such pair of compositions is exactly one (alpha, i).
+    A term's product is the head's product of |L_a|, times |L_j| |R_{s-j}|,
+    times the tail's product of |R_a|.  With A[m] and B[m] the composition
+    sums of the |L_a| and |R_a| (``_composition_weights``), the size is
+
+        sum_s (sum_j |L_j| |R_{s-j}|) * sum_{m <= n-s} A[m] B[n-s-m].
+    """
     _check_terms(f, n, 1, k, "code_size_1k")
-    return sum(prod(map(len, factors)) for factors in _t1t2_terms(f, n, 1, k))
+    left = [0, *(len(l) for l, _ in f.levels)]  # left[a] = |L_a|
+    right = [0, *(len(r) for _, r in f.levels)]
+    a = _composition_weights(left, n - k - 1)
+    b = _composition_weights(right, n - k - 1)
+    return sum(sum(left[j] * right[s - j] for j in range(s - k, k + 1))
+               * sum(a[m] * b[n - s - m] for m in range(n - s + 1))
+               for s in range(k + 1, n + 1))
 
 
 def _check_wmu(f: PartitionFamily, n: int, k: int, label: str) -> None:

@@ -5,19 +5,33 @@ splits the alphabet into two non-empty parts; level i >= 2 splits the
 concatenation layer ``union(L_j R_{i-j} for j in [1, i-1])``.  Families
 generate every code construction in this package.
 
-``count_vectors`` walks level-count vectors in place of families: every size
-formula reads only the counts |L_i|, so one family stands for each vector.
+One level walker, ``_walk``, serves both enumerations: it fills levels left
+to right, computes each next level's sorted ground set once per parent, and
+builds the families of the last level directly.  ``enumerate_families``
+gives it every split of a ground set, read from a table of the ground's
+subsets built by doubling (binary-counter order, the complement of entry b
+is entry full ^ b), so sibling families share their level sets.  No table
+holds more than 2^SUBSET_TABLE_BITS subsets: a wider ground pairs the table
+with the splits of its remaining words, enumerated lazily.
+
+``count_vectors`` gives the walker one split per level count instead, so it
+walks level-count vectors in place of families: every size formula reads
+only the counts |L_i|, so one family stands for each vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, prod
 from operator import itemgetter
-from typing import Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .words import DIGITS, CodeSet, check_alphabet, check_word, verify_overlap_free
+
+# the widest ground whose 2^w subsets one table holds; wider grounds are
+# split into a table part and lazily enumerated higher words
+SUBSET_TABLE_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -40,6 +54,9 @@ class PartitionFamily:
     @cached_property
     def _problem(self) -> str | None:
         return validate(self)  # the family is immutable: validate it once
+
+
+Pair = tuple[frozenset[str], frozenset[str]]
 
 
 def family(q: int, levels: Sequence[tuple]) -> PartitionFamily:
@@ -101,37 +118,68 @@ def checked(f: PartitionFamily) -> PartitionFamily:
     return f
 
 
+def _subset_splits(ground: list[str]) -> Iterable[Pair]:
+    """(left, ground - left) for every subset left of ground, in
+    binary-counter order (bit j of the counter = ground[j]).
+
+    The subsets of the first SUBSET_TABLE_BITS words are built by doubling,
+    so entry b of the table has bits b and its complement is entry full ^ b,
+    the table read backwards.  A wider ground pairs every table split with
+    each split of the remaining words, taken the same way and lazily, as the
+    high bits of the counter."""
+    low = [frozenset()]
+    for x in ground[:SUBSET_TABLE_BITS]:
+        low += [s | {x} for s in low]
+    pairs = list(zip(low, reversed(low)))
+    if len(ground) <= SUBSET_TABLE_BITS:
+        return pairs
+    return ((l | hl, r | hr)
+            for hl, hr in _subset_splits(ground[SUBSET_TABLE_BITS:])
+            for l, r in pairs)
+
+
+def _prefix_splits(ground: list[str]) -> Iterator[Pair]:
+    """(first m words, the rest) for m = 0 .. len(ground)."""
+    return ((frozenset(ground[:m]), frozenset(ground[m:]))
+            for m in range(len(ground) + 1))
+
+
+def _walk(q: int, k: int, splits: Callable[[list[str]], Iterable[Pair]],
+          ) -> Iterator[PartitionFamily]:
+    """The depth-k families whose level i runs through ``splits`` of its
+    sorted ground set, levels filled left to right.  Level 1 splits the
+    alphabet into two non-empty parts."""
+
+    def extend(levels: tuple, pairs: Iterable[Pair]) -> Iterator[PartitionFamily]:
+        if len(levels) + 1 == k:
+            for pair in pairs:
+                yield PartitionFamily(q, levels + (pair,))
+            return
+        for pair in pairs:
+            grown = levels + (pair,)
+            ground = concat_layer(PartitionFamily(q, grown), len(grown) + 1)
+            yield from extend(grown, splits(sorted(ground)))
+
+    return extend((), (pair for pair in splits(sorted(DIGITS[:q]))
+                       if pair[0] and pair[1]))
+
+
+def _check_depth(q: int, k: int) -> None:
+    check_alphabet(q)
+    if k < 1:
+        raise ValueError("depth must be >= 1")
+
+
 def enumerate_families(q: int, k: int) -> Iterator[PartitionFamily]:
     """All valid families of depth k, deterministically.
 
     Levels are filled left to right; within a level the left set runs through
     subsets of the sorted ground set in binary-counter order (bit j of the
-    counter = membership of the j-th ground element).
+    counter = membership of the j-th ground element).  Sibling families
+    share their level sets.
     """
-    check_alphabet(q)
-    if k < 1:
-        raise ValueError("depth must be >= 1")
-    alphabet = sorted(DIGITS[:q])
-
-    def extend(levels: list) -> Iterator[PartitionFamily]:
-        i = len(levels) + 1
-        if i > k:
-            yield PartitionFamily(q=q, levels=tuple(levels))
-            return
-        if i == 1:
-            ground = alphabet
-            lo, hi = 1, 2 ** q - 1  # both parts non-empty
-        else:
-            ground = sorted(concat_layer(PartitionFamily(q, tuple(levels)), i))
-            lo, hi = 0, 2 ** len(ground)
-        for bits in range(lo, hi):
-            left = frozenset(ground[j] for j in range(len(ground)) if bits >> j & 1)
-            right = frozenset(ground) - left
-            levels.append((left, right))
-            yield from extend(levels)
-            levels.pop()
-
-    yield from extend([])
+    _check_depth(q, k)
+    return _walk(q, k, _subset_splits)
 
 
 def count_vectors(q: int, k: int) -> Iterator[tuple[PartitionFamily, int]]:
@@ -140,23 +188,9 @@ def count_vectors(q: int, k: int) -> Iterator[tuple[PartitionFamily, int]]:
     words (g_1 = q, 1 <= |L_1| <= q-1), so shared = prod_i C(g_i, |L_i|)
     families have the vector; the family given takes the first |L_i| words
     of each sorted ground set."""
-    check_alphabet(q)
-    if k < 1:
-        raise ValueError("depth must be >= 1")
-
-    def extend(levels: tuple, shared: int):
-        if len(levels) == k:
-            yield PartitionFamily(q=q, levels=levels), shared
-            return
-        ground = sorted(concat_layer(PartitionFamily(q, levels), len(levels) + 1))
-        for m in range(len(ground) + 1):
-            yield from extend(levels + ((frozenset(ground[:m]),
-                                         frozenset(ground[m:])),),
-                              shared * comb(len(ground), m))
-
-    for m in range(1, q):
-        yield from extend(((frozenset(DIGITS[:m]), frozenset(DIGITS[m:q])),),
-                          comb(q, m))
+    _check_depth(q, k)
+    return ((f, prod(comb(len(l) + len(r), len(l)) for l, r in f.levels))
+            for f in _walk(q, k, _prefix_splits))
 
 
 Side = Literal["R_empty", "L_empty"]

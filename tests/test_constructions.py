@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from overlapcodes.constructions import (KINDS, CodeTooLarge, ConstructionSpec,
@@ -66,6 +68,17 @@ class TestOneK:
                     c = overlap_free_1k(f, n, k, strict=True)
                     assert len(c) == code_size_1k(f, n, k)
                     assert_window(c, 1, k)
+
+
+    @pytest.mark.parametrize("q,depth", [(2, 5), (3, 3), (4, 2)])
+    def test_size_formula_matches_term_sum(self, q, depth):
+        # the term sum is what the closed form replaces: it is the oracle
+        for k in range(1, depth + 1):
+            for f in enumerate_families(q, k):
+                for n in range(k + 1, 2 * k + 2):
+                    assert code_size_1k(f, n, k) == sum(
+                        prod(map(len, factors))
+                        for factors in _t1t2_terms(f, n, 1, k))
 
 
 class TestWmu:

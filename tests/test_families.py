@@ -1,3 +1,6 @@
+import time
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,7 @@ from overlapcodes.families import (balanced_family, checked, compositions,
                                    concat_layer, count_vectors, decompose,
                                    enumerate_families, family,
                                    family_from_code, validate)
-from overlapcodes.words import code
+from overlapcodes.words import DIGITS, code
 
 
 EXAMPLE_FAMILY = family(3, [({"0", "1"}, {"2"}), ({"02"}, {"12"})])
@@ -75,6 +78,61 @@ def test_validate_names_level_of_foreign_word():
 def test_validate_rejects_overlap():
     broken = family(2, [({"0", "1"}, {"1"})])
     assert "intersect" in validate(broken)
+
+
+def nested_enumeration(q, k):
+    """The level recursion enumerate_families replaced: each left set is
+    read off the counter bits, each right set is a set difference."""
+    alphabet = sorted(DIGITS[:q])
+
+    def extend(levels):
+        i = len(levels) + 1
+        if i > k:
+            yield families.PartitionFamily(q=q, levels=tuple(levels))
+            return
+        if i == 1:
+            ground = alphabet
+            lo, hi = 1, 2 ** q - 1
+        else:
+            ground = sorted(concat_layer(
+                families.PartitionFamily(q, tuple(levels)), i))
+            lo, hi = 0, 2 ** len(ground)
+        for bits in range(lo, hi):
+            left = frozenset(ground[j] for j in range(len(ground))
+                             if bits >> j & 1)
+            levels.append((left, frozenset(ground) - left))
+            yield from extend(levels)
+            levels.pop()
+
+    yield from extend([])
+
+
+ORDER_CASES = ([(2, k) for k in range(1, 6)] + [(3, k) for k in range(1, 5)]
+               + [(4, k) for k in range(1, 4)])
+
+
+@pytest.mark.parametrize("table_bits", [families.SUBSET_TABLE_BITS, 2])
+@pytest.mark.parametrize("q,k", ORDER_CASES)
+def test_enumeration_order_matches_nested_recursion(monkeypatch, q, k,
+                                                    table_bits):
+    # 2 bits sends every ground wider than two words down the chunked path
+    monkeypatch.setattr(families, "SUBSET_TABLE_BITS", table_bits)
+    assert list(enumerate_families(q, k)) == list(nested_enumeration(q, k))
+
+
+def test_enumeration_is_lazy_on_wide_grounds():
+    start = time.perf_counter()
+    first = next(enumerate_families(36, 2))
+    head = list(islice(enumerate_families(4, 5), 1000))
+    assert time.perf_counter() - start < 0.5
+    assert validate(first) is None and len(head) == 1000
+
+
+def test_arguments_are_checked_at_call_time():
+    with pytest.raises(ValueError, match="alphabet"):
+        enumerate_families(1, 2)
+    with pytest.raises(ValueError, match="depth"):
+        count_vectors(3, 0)
 
 
 def test_enumerate_depth_one():
