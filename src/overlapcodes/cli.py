@@ -22,8 +22,9 @@ import sys
 import time
 import warnings
 from dataclasses import asdict
-from itertools import islice, product
+from itertools import product
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import __version__
 from .bounds import bound_report
@@ -54,15 +55,15 @@ def _csv(rows) -> str:
     return buffer.getvalue()
 
 
-def _emit(args: argparse.Namespace, path: str | None, text: str,
+def _emit(args: argparse.Namespace, path: str | None, chunks: Iterable[str],
           parameters: dict) -> None:
-    """Write text to stdout when path is None, else to path (newline="" so
-    CSV row ends stay as written) with its manifest sidecar."""
+    """Write chunks, as they come, to stdout when path is None, else to path
+    (newline="" so CSV row ends stay as written) with its manifest sidecar."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", newline="") as handle:
-        handle.write(text)
+        handle.writelines(chunks)
     write_manifest(RunManifest(
         command=args.command,
         parameters=parameters,
@@ -135,8 +136,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     }
     if ok:
         _emit(args, args.out,
-              format_code(result, comment=f"{kind} construction"), spec_data)
-    _emit(args, args.report, _json(report), spec_data)
+              [format_code(result, comment=f"{kind} construction")], spec_data)
+    _emit(args, args.report, [_json(report)], spec_data)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -180,7 +181,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if window:
         payload = _report_payload(args.q, args.n, args.t1, args.t2)
-        _emit(args, args.json, _json(payload), params)
+        _emit(args, args.json, [_json(payload)], params)
         return EXIT_OK
     rows = [["q", "n", "t1", "t2", "best_lower", "best_upper", "exact"]]
     for t1 in range(1, args.n):
@@ -189,7 +190,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             rows.append([args.q, args.n, t1, t2, report.best_lower,
                          report.best_upper,
                          "" if report.exact is None else report.exact])
-    _emit(args, args.csv, _csv(rows), params)
+    _emit(args, args.csv, [_csv(rows)], params)
     return EXIT_OK
 
 
@@ -206,7 +207,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     }
     params = {"q": args.q, "n": args.n, "t1": args.t1, "t2": args.t2,
               "budget": args.budget, "method": args.method}
-    _emit(args, args.json, _json(payload), params)
+    _emit(args, args.json, [_json(payload)], params)
     return EXIT_OK if result.exact else EXIT_BUDGET
 
 
@@ -220,7 +221,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
                       row["families_at_max"], row["value"],
                       "yes" if row["bold"] else "no",
                       "no" if row["base_exact"] else "yes"])
-    _emit(args, args.csv, _csv(lines), params)
+    _emit(args, args.csv, [_csv(lines)], params)
     if all(row["base_exact"] for row in rows):
         return EXIT_OK
     return EXIT_BUDGET
@@ -298,15 +299,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                "message_length": len(message), "runs": runs}
     params = {"code": str(args.code), "edits": str(args.edits),
               "exhaustive": bool(args.exhaustive)}
-    _emit(args, args.json, _json(payload), params)
+    _emit(args, args.json, [_json(payload)], params)
     if args.hist:
         counts: dict[int, int] = {}
         for run in runs:
             off = run["detection_offset"]
             if off is not None:
                 counts[off] = counts.get(off, 0) + 1
-        _emit(args, args.hist, _csv([["detection_offset", "count"],
-                                     *sorted(counts.items())]), params)
+        _emit(args, args.hist, [_csv([["detection_offset", "count"],
+                                      *sorted(counts.items())])], params)
     return EXIT_OK
 
 
@@ -322,14 +323,23 @@ def _cmd_families(args: argparse.Namespace) -> int:
     if args.q is None or args.k is None:
         sys.stderr.write("families: give --q and --k (or --validate FILE)\n")
         return EXIT_USAGE
-    limit = None if args.max_families is None else args.max_families + 1
-    families = list(islice(enumerate_families(args.q, args.k), limit))
-    budget_hit = len(families) == limit
-    text = "\n".join(map(format_family, families[:args.max_families]))
-    if budget_hit:
-        text += "\n# TRUNCATED: family budget exhausted\n"
+    families = enumerate_families(args.q, args.k)  # raises before any write
+    budget_hit = False
+
+    def chunks() -> Iterator[str]:
+        """Families separated by one blank line, each written as it is
+        enumerated; a family past --max-families ends the text with the
+        truncation line."""
+        nonlocal budget_hit
+        for i, f in enumerate(families):
+            if i == args.max_families:
+                budget_hit = True
+                yield "\n# TRUNCATED: family budget exhausted\n"
+                return
+            yield ("\n" if i else "") + format_family(f)
+
     params = {"q": args.q, "k": args.k, "max_families": args.max_families}
-    _emit(args, args.out, text, params)
+    _emit(args, args.out, chunks(), params)
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
 

@@ -33,11 +33,22 @@ Both caps raise ``CodeTooLarge``.
 ``table_rows`` builds the expansion tables: it expands the maximum
 non-overlapping codes found by search with the layered construction, walking
 ``families.count_vectors`` in place of every family.
+
+Bit conventions.  A ``CompatibilityGraph`` mask and every mask a public
+function takes or returns has bit i = vertex i.  The two clique engines
+(``_MaxClique`` and the Bron-Kerbosch walk of ``enumerate_maximal_codes``)
+run instead on a private top-bit view built by ``_top_bit_view``: vertex i
+sits at bit m-1-i, and the rows are indexed by ``bit_length()`` = m-i.  Both
+engines visit the lowest-numbered vertex of a mask first; in the view that
+vertex is found by one ``mask.bit_length()``, where bit i = vertex i needs
+``mask & -mask`` and a ``bit_length()`` for every step.  The search tree is
+the same in both conventions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
@@ -76,9 +87,13 @@ class CompatibilityGraph:
             words.add(self.vertices[low.bit_length() - 1])
         return words
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.vertices)}
+
     def extensions(self, words: Iterable[str]) -> int:
         """Mask of the vertices adjacent to every one of words."""
-        index = {w: i for i, w in enumerate(self.vertices)}
+        index = self._index
         cand = (1 << len(self.vertices)) - 1
         for w in words:
             cand &= self.adjacency[index[w]]
@@ -111,66 +126,99 @@ def build_graph(q: int, n: int, t1: int, t2: int) -> CompatibilityGraph:
     return CompatibilityGraph(tuple(verts), adj)
 
 
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reverse_bits(x: int, m: int) -> int:
+    """The low m bits of x in reverse order: bit i moves to bit m-1-i."""
+    nb = (m + 7) // 8
+    return int.from_bytes(x.to_bytes(nb, "little").translate(_REV8),
+                          "big") >> (8 * nb - m)
+
+
+def _top_bit_view(adjacency: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The adj and bit = 1 << (v-1) tables of the top-bit view (module
+    docstring), both indexed by v = m-i for vertex i; index 0 is unused."""
+    m = len(adjacency)
+    adj = [0] + [_reverse_bits(a, m) for a in reversed(adjacency)]
+    bit = [0] + [1 << j for j in range(m)]
+    return adj, bit
+
+
 class _MaxClique:
     """Deterministic bit-parallel branch and bound; the bound at a node is
-    the number of greedy colour classes of its candidate set (BBMC)."""
+    the number of greedy colour classes of its candidate set (BBMC).
+
+    The search runs on the top-bit view of the graph (module docstring), so
+    each step of the colouring walk finds its vertex with one bit_length().
+    It visits the vertices in the order of the bit i = vertex i walk, which
+    keeps the search tree, node count and witness of that walk; solve
+    returns the witness with bit i = vertex i."""
 
     def __init__(self, adjacency: tuple[int, ...], node_budget: int):
-        self.adj = adjacency
         self.m = len(adjacency)
+        self.adj, self.bit = _top_bit_view(adjacency)
         full = (1 << self.m) - 1
-        self.non_adj = [full ^ a ^ (1 << v) for v, a in enumerate(adjacency)]
+        self.non_adj = [full ^ a ^ b for a, b in zip(self.adj, self.bit)]
         self.budget = node_budget
         self.nodes = 0
         self.best_size = 0
         self.best_mask = 0
 
     def _greedy_seed(self) -> None:
+        adj, bit = self.adj, self.bit
         mask, size, cand = 0, 0, (1 << self.m) - 1
         while cand:
-            low = cand & -cand
-            mask |= low
+            v = cand.bit_length()
+            mask |= bit[v]
             size += 1
-            cand &= self.adj[low.bit_length() - 1]
+            cand &= adj[v]
         self.best_size, self.best_mask = size, mask
 
     def _expand(self, r_mask: int, r_size: int, cand: int) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise SearchBudgetExceeded
-        adj = self.adj
-        non_adj = self.non_adj
-        # Colour classes: each takes the lowest remaining vertex, then the
-        # lowest vertex that is not adjacent to any taken one, and so on.
-        # A vertex in class k bounds its branch by r_size + k, so only
-        # classes above best_size - r_size are listed for branching.
+        adj, non_adj, bit = self.adj, self.non_adj, self.bit
+        # Colour classes: each takes the lowest-numbered remaining vertex,
+        # then the lowest-numbered vertex not adjacent to any taken one, and
+        # so on.  A vertex in class k bounds its branch by r_size + k, so
+        # classes up to best_size - r_size are only taken out of rest, and
+        # the later ones are listed for branching.
         kmin = self.best_size - r_size
-        order: list[tuple[int, int]] = []
         rest = cand
         k = 0
+        while rest and k < kmin:
+            k += 1
+            avail = rest
+            while avail:
+                v = avail.bit_length()
+                rest ^= bit[v]
+                avail &= non_adj[v]
+        order: list[tuple[int, int]] = []
+        append = order.append
         while rest:
             k += 1
             avail = rest
             while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                rest ^= low
+                v = avail.bit_length()
+                rest ^= bit[v]
                 avail &= non_adj[v]
-                if k > kmin:
-                    order.append((v, k))
+                append((v, k))
         for v, k in reversed(order):
             if r_size + k <= self.best_size:
                 return
-            bit = 1 << v
+            b = bit[v]
             new_cand = cand & adj[v]
             if new_cand:
-                self._expand(r_mask | bit, r_size + 1, new_cand)
+                self._expand(r_mask | b, r_size + 1, new_cand)
             elif r_size + 1 > self.best_size:
                 self.best_size = r_size + 1
-                self.best_mask = r_mask | bit
-            cand ^= bit
+                self.best_mask = r_mask | b
+            cand ^= b
 
     def solve(self) -> tuple[int, int, int, bool]:
+        """(size, witness mask with bit i = vertex i, nodes, exact)."""
         if self.m == 0:
             return 0, 0, 0, True
         self._greedy_seed()
@@ -179,7 +227,8 @@ class _MaxClique:
             self._expand(0, 0, (1 << self.m) - 1)
         except SearchBudgetExceeded:
             exact = False
-        return self.best_size, self.best_mask, self.nodes, exact
+        return (self.best_size, _reverse_bits(self.best_mask, self.m),
+                self.nodes, exact)
 
 
 def _rectangle_levels_feasible(q: int, t1: int, t2: int) -> bool:
@@ -416,36 +465,41 @@ def enumerate_maximal_codes(q: int, n: int, t1: int, t2: int, *,
     Bron-Kerbosch with pivoting; deterministic order."""
     if graph is None:
         graph = build_graph(q, n, t1, t2)
-    adj = graph.adjacency
     m = len(graph.vertices)
+    if m == 0:
+        return
+    # top-bit view (module docstring): names[v] is the word at bit v-1
+    adj, bit = _top_bit_view(graph.adjacency)
+    names = ("",) + graph.vertices[::-1]
 
     def bk(r: int, p: int, x: int) -> Iterator[int]:
         if p == 0 and x == 0:
             yield r
             return
-        pux = p | x
-        pivot, pivot_deg = -1, -1
-        scan = pux
+        pivot, pivot_deg = 0, -1
+        scan = p | x
         while scan:
-            low = scan & -scan
-            scan &= ~low
-            u = low.bit_length() - 1
+            u = scan.bit_length()
+            scan ^= bit[u]
             deg = (p & adj[u]).bit_count()
             if deg > pivot_deg:
                 pivot, pivot_deg = u, deg
         ext = p & ~adj[pivot]
         while ext:
-            low = ext & -ext
-            ext &= ~low
-            v = low.bit_length() - 1
-            yield from bk(r | low, p & adj[v], x & adj[v])
-            p &= ~low
-            x |= low
+            v = ext.bit_length()
+            b = bit[v]
+            ext ^= b
+            yield from bk(r | b, p & adj[v], x & adj[v])
+            p ^= b
+            x |= b
 
-    if m == 0:
-        return
     for mask in bk(0, (1 << m) - 1, 0):
-        yield code(q, n, graph.words(mask), (t1, t2))
+        words = set()
+        while mask:
+            v = mask.bit_length()
+            mask ^= bit[v]
+            words.add(names[v])
+        yield code(q, n, words, (t1, t2))
 
 
 @dataclass(frozen=True)

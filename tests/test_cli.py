@@ -369,6 +369,22 @@ def test_families_budget_exit_code(tmp_path):
         assert ("TRUNCATED" in out.read_text()) == (exit_code == 3)
 
 
+@pytest.mark.parametrize("q,k,digest", [
+    ("3", "4", "383ff02cc23a39930e4d58a45705dc081bd9d990577511febcc9321a49caf103"),
+    ("2", "5", "ee9b39f3d274e8172995c4a958ce57c0e51739542b23306bc1fc67e9e3dccc10"),
+])
+def test_families_output_is_pinned(tmp_path, capsys, q, k, digest):
+    # the q=3 file is 1.3 MB, so the manifest hashes it in many blocks
+    out = tmp_path / "fams.txt"
+    assert main(["families", "--q", q, "--k", k, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["outputs"] == {str(out): digest}
+    capsys.readouterr()
+    assert main(["families", "--q", q, "--k", k]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 @pytest.mark.parametrize("argv", [
     ["families", "--q", "2", "--k", "2", "--max-families", "-1"],
     ["search", "--q", "2", "--n", "4", "--t1", "1", "--t2", "2",

@@ -1,15 +1,20 @@
+import random
 import time
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapcodes.families import balanced_family, enumerate_families, family
 from overlapcodes.constructions import lift_code, overlap_free_1k
-from overlapcodes.search import (_best_split, _classcount_feasible,
-                                 _classcount_max, _rectangle_levels_feasible,
-                                 _rectangle_max,
+from overlapcodes.search import (SearchBudgetExceeded, _best_split,
+                                 _classcount_feasible, _classcount_max,
+                                 _MaxClique, _rectangle_levels_feasible,
+                                 _rectangle_max, _reverse_bits,
                                  all_maximal_from_construction,
                                  binary_edge_check, build_graph,
+                                 CompatibilityGraph,
                                  enumerate_maximal_codes, extension_word,
                                  greedy_complete, is_maximal, max_code,
                                  maximality_certificate)
@@ -392,3 +397,179 @@ def test_binary_edge_check_rejects_ternary():
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 3), (3, 4, 2)])
 def test_all_maximal_codes_come_from_the_construction(q, n, k):
     assert all_maximal_from_construction(q, n, k) is None
+
+
+# -- the clique engines against their bit i = vertex i oracles ---------------
+
+class LowBitMaxClique:
+    """The colouring branch and bound on bit i = vertex i masks, each step
+    finding its vertex with mask & -mask: the engine the top-bit view
+    replaced, kept as the reference for node-for-node equality."""
+
+    def __init__(self, adjacency, node_budget):
+        self.adj = adjacency
+        self.m = len(adjacency)
+        full = (1 << self.m) - 1
+        self.non_adj = [full ^ a ^ (1 << v) for v, a in enumerate(adjacency)]
+        self.budget = node_budget
+        self.nodes = 0
+        self.best_size = 0
+        self.best_mask = 0
+
+    def _greedy_seed(self):
+        mask, size, cand = 0, 0, (1 << self.m) - 1
+        while cand:
+            low = cand & -cand
+            mask |= low
+            size += 1
+            cand &= self.adj[low.bit_length() - 1]
+        self.best_size, self.best_mask = size, mask
+
+    def _expand(self, r_mask, r_size, cand):
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise SearchBudgetExceeded
+        kmin = self.best_size - r_size
+        order = []
+        rest = cand
+        k = 0
+        while rest:
+            k += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                rest ^= low
+                avail &= self.non_adj[v]
+                if k > kmin:
+                    order.append((v, k))
+        for v, k in reversed(order):
+            if r_size + k <= self.best_size:
+                return
+            bit = 1 << v
+            new_cand = cand & self.adj[v]
+            if new_cand:
+                self._expand(r_mask | bit, r_size + 1, new_cand)
+            elif r_size + 1 > self.best_size:
+                self.best_size = r_size + 1
+                self.best_mask = r_mask | bit
+            cand ^= bit
+
+    def solve(self):
+        if self.m == 0:
+            return 0, 0, 0, True
+        self._greedy_seed()
+        exact = True
+        try:
+            self._expand(0, 0, (1 << self.m) - 1)
+        except SearchBudgetExceeded:
+            exact = False
+        return self.best_size, self.best_mask, self.nodes, exact
+
+
+def low_bit_maximal_cliques(adj):
+    """Bron-Kerbosch with pivoting on bit i = vertex i masks, in the order
+    enumerate_maximal_codes must reproduce."""
+
+    def bk(r, p, x):
+        if p == 0 and x == 0:
+            yield r
+            return
+        pivot, pivot_deg = -1, -1
+        scan = p | x
+        while scan:
+            low = scan & -scan
+            scan &= ~low
+            u = low.bit_length() - 1
+            deg = (p & adj[u]).bit_count()
+            if deg > pivot_deg:
+                pivot, pivot_deg = u, deg
+        ext = p & ~adj[pivot]
+        while ext:
+            low = ext & -ext
+            ext &= ~low
+            v = low.bit_length() - 1
+            yield from bk(r | low, p & adj[v], x & adj[v])
+            p &= ~low
+            x |= low
+
+    if adj:
+        yield from bk(0, (1 << len(adj)) - 1, 0)
+
+
+DESK_QUOTIENT_GRAPHS = [
+    (q, min(n, 2 * t2), t1, t2)
+    for q in (2, 3) for n in range(3, 7)
+    for t1 in range(1, n) for t2 in range(t1, n)
+    if not _classcount_feasible(q, n, t1, t2)
+    and not (n >= 2 * t2 and _rectangle_levels_feasible(q, t1, t2))]
+
+
+@pytest.mark.parametrize("budget", [20, 1000])
+def test_clique_engine_matches_low_bit_oracle_on_desk_graphs(budget):
+    assert len(DESK_QUOTIENT_GRAPHS) == 37
+    for window in DESK_QUOTIENT_GRAPHS:
+        adj = build_graph(*window).adjacency
+        assert _MaxClique(adj, budget).solve() == \
+            LowBitMaxClique(adj, budget).solve(), window
+
+
+def test_clique_engine_matches_low_bit_oracle_on_raw_graphs():
+    for q, n in product((2, 3), range(2, 6)):
+        for t1 in range(1, n):
+            for t2 in range(t1, n):
+                adj = build_graph(q, n, t1, t2).adjacency
+                for budget in (20, 1000):
+                    assert _MaxClique(adj, budget).solve() == \
+                        LowBitMaxClique(adj, budget).solve(), \
+                        (q, n, t1, t2, budget)
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 5, 4), (3, 6, 4), (3, 6, 5)])
+def test_maximal_code_order_matches_low_bit_oracle(q, n, k):
+    graph = build_graph(q, n, 1, k)
+    got = [c.words for c in
+           islice(enumerate_maximal_codes(q, n, 1, k, graph=graph), 300)]
+    want = [graph.words(mask) for mask in
+            islice(low_bit_maximal_cliques(graph.adjacency), 300)]
+    assert len(got) == 300
+    assert got == want
+
+
+def random_graph(m, density, seed):
+    rng = random.Random(seed)
+    adj = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return tuple(adj)
+
+
+@given(m=st.integers(0, 130), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32), budget=st.integers(0, 400))
+@settings(max_examples=60, deadline=None)
+def test_clique_engines_match_low_bit_oracles_on_random_graphs(
+        m, density, seed, budget):
+    adj = random_graph(m, density, seed)
+    assert _MaxClique(adj, budget).solve() == \
+        LowBitMaxClique(adj, budget).solve()
+    # any m distinct words of one length stand for the vertices
+    graph = CompatibilityGraph(tuple(f"{i:08b}" for i in range(m)), adj)
+    got = [c.words for c in
+           islice(enumerate_maximal_codes(2, 8, 1, 1, graph=graph), 100)]
+    want = [graph.words(mask) for mask in
+            islice(low_bit_maximal_cliques(adj), 100)]
+    assert got == want
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 63, 64, 65, 624])
+def test_reverse_bits_moves_bit_i_to_m_minus_1_minus_i(m):
+    rng = random.Random(m)
+    for x in [0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(20))]:
+        want = int(format(x, f"0{m}b")[::-1], 2) if m else 0
+        assert _reverse_bits(x, m) == want
+        assert _reverse_bits(want, m) == x
+    for i in range(m):
+        assert _reverse_bits(1 << i, m) == 1 << (m - 1 - i)
