@@ -37,7 +37,7 @@ from .families import enumerate_families
 from .fileio import (FormatError, RunManifest, format_code, format_family,
                      read_code, read_family, sha256_digest, write_manifest)
 from .search import METHODS, max_code, table_rows
-from .words import DIGITS, verify_overlap_free
+from .words import DIGITS, check_alphabet, verify_overlap_free
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -178,6 +178,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if getattr(args, unused) is not None:
         sys.stderr.write(f"bounds: --{unused} does not apply here; one window "
                          "writes --json, a sweep --csv\n")
+        return EXIT_USAGE
+    check_alphabet(args.q)  # the sweep below may have no window to check
+    if args.n < 2:
+        sys.stderr.write(f"bounds: --n must be >= 2, got {args.n}\n")
         return EXIT_USAGE
     if window:
         payload = _report_payload(args.q, args.n, args.t1, args.t2)

@@ -14,6 +14,8 @@ checks.  ``KINDS`` gives each spec kind its fields, builder and windows.
 Every derived word set, ``lift_code`` and the ``search.max_code`` witnesses
 included, is a list of terms filled by ``_materialize``, which raises
 ``CodeTooLarge`` before filling when the term sizes sum past ``MAX_WORDS``.
+Its factors are level sets of checked families, checked codes or the
+alphabet, so it builds the code with ``words._trusted_code``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .families import PartitionFamily, checked, compositions
-from .words import DIGITS, CodeSet, check_window, code, verify_overlap_free
+from .words import (DIGITS, CodeSet, _trusted_code, check_window,
+                    verify_overlap_free)
 
 MAX_WORDS = 10_000_000
 
@@ -64,7 +67,7 @@ def _materialize(terms: Iterable[Sequence[frozenset[str]]], *, q: int, n: int,
         if strict:
             raise DisjointnessViolation(message)
         warnings.warn(message)
-    return code(q, n, words, window)
+    return _trusted_code(q, n, words, window)
 
 
 def _require_depth(f: PartitionFamily, needed: int, label: str) -> None:
@@ -271,7 +274,7 @@ def project_code(c: CodeSet, t2: int) -> CodeSet:
     if c.n <= 2 * t2:
         raise ValueError("project_code: requires block length > 2*t2")
     words = {w[:t2] + w[c.n - t2:] for w in c.words}
-    return code(c.q, 2 * t2, words, c.window)
+    return _trusted_code(c.q, 2 * t2, words, c.window)
 
 
 @dataclass(frozen=True)

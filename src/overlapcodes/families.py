@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, prod
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from .words import DIGITS, CodeSet, check_alphabet, check_word, verify_overlap_free
+from .words import DIGITS, CodeSet, _overlap_scan, check_alphabet, check_word
 
 # the widest ground whose 2^w subsets one table holds; wider grounds are
 # split into a table part and lazily enumerated higher words
@@ -108,6 +107,13 @@ def validate(f: PartitionFamily) -> str | None:
                 return (f"level {i}: L{i} union R{i} != concatenation layer "
                         f"(missing {missing}, extra {extra})")
     return None
+
+
+def _valid(f: PartitionFamily) -> PartitionFamily:
+    """f, recorded as valid without running ``validate``; only for families
+    whose builder proves every level constraint."""
+    f.__dict__["_problem"] = None  # the slot cached_property would fill
+    return f
 
 
 def checked(f: PartitionFamily) -> PartitionFamily:
@@ -305,24 +311,37 @@ def family_from_code(c: CodeSet, k: int) -> PartitionFamily:
     """Derive the depth-k family whose left sets are the realized prefixes of c.
 
     c must verify the window (1, k); otherwise the level sets need not be
-    disjoint and the derivation is refused.
+    disjoint and the derivation is refused.  The prefixes are read from the
+    same level sets that the (1, k) test ran on (``words._overlap_scan``),
+    and level i is ``L_i = ground & prefixes``, ``R_i = ground - L_i`` for
+    its ground set (the alphabet, then ``concat_layer``).
+
+    The family is not re-validated, because every clause of ``validate``
+    holds by construction except one.  q and the depth were checked.  At
+    every level L_i and R_i split the ground set, so they are disjoint and
+    their union is the alphabet or the concatenation layer.  R_1 holds the
+    last symbol of every word, since the t = 1 test found no last symbol
+    among the first symbols.  That leaves L_1, which is empty exactly when
+    c is empty; that family goes through ``checked`` and raises.
     """
     if k < 1:
         raise ValueError("depth must be >= 1")
-    witness = verify_overlap_free(c, 1, min(k, c.n - 1))
+    witness, realized = _overlap_scan(c, 1, min(k, c.n - 1))
     if witness is not None:
         raise ValueError(
             f"code is not (1,{k})-overlap-free: prefix of {witness.u!r} is a "
             f"suffix of {witness.v!r} at t={witness.t}")
-    prefixes = set().union(*(map(itemgetter(slice(t)), c.words)
-                             for t in range(1, min(k, c.n) + 1)))
-    l1 = frozenset(ch for ch in DIGITS[: c.q] if ch in prefixes)
-    levels = [(l1, frozenset(DIGITS[: c.q]) - l1)]
+    if k >= c.n:
+        realized[c.n] = c.words
+    sigma = frozenset(DIGITS[: c.q])
+    l1 = sigma & realized[1]
+    levels = [(l1, sigma - l1)]
     for i in range(2, k + 1):
         ground = concat_layer(PartitionFamily(c.q, tuple(levels)), i)
-        li = frozenset(x for x in ground if x in prefixes)
-        levels.append((li, frozenset(ground) - li))
-    return checked(PartitionFamily(q=c.q, levels=tuple(levels)))
+        li = frozenset(ground & realized.get(i, set()))
+        levels.append((li, frozenset(ground - li)))
+    f = PartitionFamily(q=c.q, levels=tuple(levels))
+    return _valid(f) if l1 else checked(f)
 
 
 def compositions(m: int) -> Iterator[tuple[int, ...]]:

@@ -57,8 +57,9 @@ from .constructions import (CodeTooLarge, _alphabet_factors, _lift_terms,
                             overlap_free_1k)
 from .families import (PartitionFamily, checked, count_vectors,
                        family_from_code)
-from .words import (CodeSet, all_words, check_alphabet, check_window, code,
-                    self_compatible, verify_overlap_free)
+from .words import (CodeSet, _trusted_code, all_words, check_alphabet,
+                    check_window, prefix_suffix_levels, self_compatible,
+                    verify_overlap_free)
 
 DEFAULT_NODE_BUDGET = 20_000_000
 TABLE_NODE_BUDGET = 2_000_000
@@ -444,7 +445,9 @@ def is_maximal(c: CodeSet, t1: int, t2: int,
 
 def greedy_complete(c: CodeSet, t1: int, t2: int,
                     graph: CompatibilityGraph | None = None) -> CodeSet:
-    """Deterministic maximal superset: scan candidate words lexicographically."""
+    """Deterministic maximal superset: scan candidate words lexicographically.
+    A graph given must be ``build_graph(c.q, c.n, t1, t2)``: its words are
+    added without re-checking."""
     if verify_overlap_free(c, t1, t2) is not None:
         raise ValueError("code does not verify its window")
     if graph is None:
@@ -455,14 +458,16 @@ def greedy_complete(c: CodeSet, t1: int, t2: int,
         low = cand & -cand
         picked |= low
         cand &= graph.adjacency[low.bit_length() - 1]
-    return code(c.q, c.n, c.words | graph.words(picked), (t1, t2))
+    return _trusted_code(c.q, c.n, c.words | graph.words(picked), (t1, t2))
 
 
 def enumerate_maximal_codes(q: int, n: int, t1: int, t2: int, *,
                             graph: CompatibilityGraph | None = None,
                             ) -> Iterator[CodeSet]:
     """All maximal (t1, t2)-overlap-free codes (maximal cliques), via
-    Bron-Kerbosch with pivoting; deterministic order."""
+    Bron-Kerbosch with pivoting; deterministic order.  A graph given must be
+    ``build_graph(q, n, t1, t2)``: the codes are built from its words
+    without re-checking them."""
     if graph is None:
         graph = build_graph(q, n, t1, t2)
     m = len(graph.vertices)
@@ -499,7 +504,7 @@ def enumerate_maximal_codes(q: int, n: int, t1: int, t2: int, *,
             v = mask.bit_length()
             mask ^= bit[v]
             words.add(names[v])
-        yield code(q, n, words, (t1, t2))
+        yield _trusted_code(q, n, words, (t1, t2))
 
 
 @dataclass(frozen=True)
@@ -511,11 +516,20 @@ class MaximalityCertificate:
     word: str | None = None
 
 
-def _realization_failure(f: PartitionFamily, c: CodeSet, k: int,
+def _realized(c: CodeSet, k: int) -> tuple[set[str], set[str]]:
+    """Every t-prefix and every t-suffix of c's words for t in [1, k]."""
+    prefixes: set[str] = set()
+    suffixes: set[str] = set()
+    for _, pre, suf in prefix_suffix_levels(c.words, c.n, 1, k):
+        prefixes |= pre
+        suffixes |= suf
+    return prefixes, suffixes
+
+
+def _realization_failure(f: PartitionFamily, prefixes: set[str],
+                         suffixes: set[str], k: int,
                          skip_level: int | None = None,
                          ) -> tuple[int, str] | None:
-    prefixes = {w[:t] for w in c.words for t in range(1, k + 1)}
-    suffixes = {w[c.n - t:] for w in c.words for t in range(1, k + 1)}
     for t in range(1, k + 1):
         if t == skip_level:
             continue
@@ -538,7 +552,7 @@ def maximality_certificate(f: PartitionFamily, n: int, k: int,
     if 2 * k < n:
         raise ValueError("maximality_certificate: requires k >= n/2")
     c = overlap_free_1k(f, n, k)
-    failure = _realization_failure(f, c, k)
+    failure = _realization_failure(f, *_realized(c, k), k)
     if failure is None:
         return MaximalityCertificate(verdict="certified-maximal")
     level, word = failure
@@ -589,11 +603,10 @@ def binary_edge_check(f: PartitionFamily, n: int, k: int) -> EdgeCaseReport:
     if not is_maximal(c, 1, k):
         raise ValueError("binary_edge_check: requires a maximal code")
 
-    prefixes = {w[:t] for w in c.words for t in range(1, k + 1)}
-    suffixes = {w[c.n - t:] for w in c.words for t in range(1, k + 1)}
+    prefixes, suffixes = _realized(c, k)
     clauses: list[EdgeCaseClause] = []
 
-    failure = _realization_failure(f, c, k, skip_level=half)
+    failure = _realization_failure(f, prefixes, suffixes, k, skip_level=half)
     clauses.append(EdgeCaseClause(
         clause="i", holds=failure is None,
         detail="" if failure is None else f"level {failure[0]}: {failure[1]!r}"))
@@ -667,6 +680,7 @@ def table_rows(which: str, q: int, n_max: int) -> Iterator[dict]:
     TABLE_NODE_BUDGET has base_exact False, counts the families reaching
     the size found, and ends the table.
     """
+    check_alphabet(q)  # before the first row, even when there is none
     if which == "table1":
         n_lo, gap = 5, 1
     elif which == "table2":

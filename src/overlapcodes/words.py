@@ -3,6 +3,17 @@
 Words are plain strings of base-36 digits; symbol ``i`` is written as
 ``"0123456789abcdefghijklmnopqrstuvwxyz"[i]``.  All functions treat the
 alphabet as the canonical symbols ``0 .. q-1``.
+
+The public constructors ``CodeSet(...)`` and ``code()`` are strict: they
+check every word's length and symbols.  Word sets that the library builds
+from parts it has already checked (validated families, checked codes,
+``all_words``) go through ``_trusted_code`` instead, which keeps only the
+O(1) checks on q, n and the window.
+
+``prefix_suffix_levels`` is the one prefix/suffix level kernel: it slices
+the words once, at the top level, and derives each lower level from the one
+above.  Verification, ``families.family_from_code`` and the realization
+checks of ``search`` all read their prefix and suffix sets from it.
 """
 
 from __future__ import annotations
@@ -10,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_ALPHABET = len(DIGITS)
@@ -43,6 +54,12 @@ def check_window(n: int, t1: int, t2: int) -> None:
                          f"got t1={t1}, t2={t2}, n={n}")
 
 
+def _check_block(q: int, n: int) -> None:
+    check_alphabet(q)
+    if n < 1:
+        raise ValueError("block length must be positive")
+
+
 @dataclass(frozen=True)
 class CodeSet:
     """A set of equal-length words with the overlap window it claims to satisfy."""
@@ -53,9 +70,7 @@ class CodeSet:
     window: tuple[int, int] | None = None
 
     def __post_init__(self):
-        check_alphabet(self.q)
-        if self.n < 1:
-            raise ValueError("block length must be positive")
+        _check_block(self.q, self.n)
         if not set(map(len, self.words)) <= {self.n}:
             w = next(w for w in self.words if len(w) != self.n)
             raise ValueError(f"word {w!r} does not have length {self.n}")
@@ -77,6 +92,22 @@ def code(q: int, n: int, words, window: tuple[int, int] | None = None) -> CodeSe
     return CodeSet(q=q, n=n, words=frozenset(words), window=window)
 
 
+def _trusted_code(q: int, n: int, words: Iterable[str],
+                  window: tuple[int, int] | None = None) -> CodeSet:
+    """A CodeSet of words already known to have length n over the first q
+    symbols, built without the per-word length and symbol scans of
+    ``CodeSet.__post_init__``; the O(1) checks on q, n and window stay.
+    Only for word sets made from checked parts."""
+    _check_block(q, n)
+    if window is not None:
+        check_window(n, *window)
+    c = object.__new__(CodeSet)
+    for name, value in (("q", q), ("n", n), ("words", frozenset(words)),
+                        ("window", window)):
+        object.__setattr__(c, name, value)
+    return c
+
+
 @dataclass(frozen=True)
 class OverlapWitness:
     """A forbidden overlap: the t-prefix of u equals the t-suffix of v."""
@@ -95,33 +126,51 @@ def overlap_lengths(u: str, v: str) -> set[int]:
     return {t for t in range(1, n) if u[:t] == v[n - t:]}
 
 
-def verify_overlap_free(c: CodeSet, t1: int, t2: int) -> OverlapWitness | None:
-    """None if no ordered pair of codewords (u = v included) has a t-overlap
-    for t in [t1, t2]; otherwise the first witness in (t, v, u) order.
+def prefix_suffix_levels(words: Iterable[str], n: int, t1: int, t2: int,
+                         ) -> Iterator[tuple[int, set[str], set[str]]]:
+    """(t, the words' t-prefixes, their t-suffixes) for t = t2 down to t1.
 
-    The words are sliced once, into their t2-prefixes and t2-suffixes; each
-    lower level is derived from the level above (``p[:t]`` of the prefixes,
-    ``s[1:]`` of the suffixes) and tested as one set disjointness.  Only the
-    lowest failing level runs the ordered scan that names the witness."""
+    The words of length n are sliced once, into their t2-prefixes and
+    t2-suffixes; each lower level is derived from the level above (``p[:t]``
+    of the prefixes, ``s[1:]`` of the suffixes), so a level costs one pass
+    over the distinct strings of the level above it."""
+    prefixes = set(map(itemgetter(slice(t2)), words))
+    suffixes = set(map(itemgetter(slice(n - t2, None)), words))
+    yield t2, prefixes, suffixes
+    for t in range(t2 - 1, t1 - 1, -1):
+        prefixes = set(map(itemgetter(slice(t)), prefixes))
+        suffixes = set(map(itemgetter(slice(1, None)), suffixes))
+        yield t, prefixes, suffixes
+
+
+def _overlap_scan(c: CodeSet, t1: int, t2: int,
+                  ) -> tuple[OverlapWitness | None, dict[int, set[str]]]:
+    """The witness of ``verify_overlap_free``, and c's t-prefixes for every
+    t in [t1, t2].  Each level of ``prefix_suffix_levels`` is tested as one
+    set disjointness; only the lowest failing level runs the ordered scan
+    that names the witness."""
     check_window(c.n, t1, t2)
-    prefixes = set(map(itemgetter(slice(t2)), c.words))
-    suffixes = set(map(itemgetter(slice(c.n - t2, None)), c.words))
+    prefixes_at: dict[int, set[str]] = {}
     failed = None
-    for t in range(t2, t1 - 1, -1):
-        if t < t2:
-            prefixes = set(map(itemgetter(slice(t)), prefixes))
-            suffixes = set(map(itemgetter(slice(1, None)), suffixes))
+    for t, prefixes, suffixes in prefix_suffix_levels(c.words, c.n, t1, t2):
         if not prefixes.isdisjoint(suffixes):
             failed = t
+        prefixes_at[t] = prefixes
     if failed is None:
-        return None
+        return None, prefixes_at
     words = c.sorted_words()
     first: dict[str, str] = {}
     for u in words:
         first.setdefault(u[:failed], u)
     cut = c.n - failed
     return next(OverlapWitness(u=first[v[cut:]], v=v, t=failed)
-                for v in words if v[cut:] in first)
+                for v in words if v[cut:] in first), prefixes_at
+
+
+def verify_overlap_free(c: CodeSet, t1: int, t2: int) -> OverlapWitness | None:
+    """None if no ordered pair of codewords (u = v included) has a t-overlap
+    for t in [t1, t2]; otherwise the first witness in (t, v, u) order."""
+    return _overlap_scan(c, t1, t2)[0]
 
 
 def self_compatible(w: str, t1: int, t2: int) -> bool:

@@ -228,6 +228,30 @@ def test_bounds_rejects_output_option_it_would_drop(tmp_path, capsys, window,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,complaint", [
+    (["bounds", "--q", "99", "--n", "0", "--csv", "ART"], "alphabet size"),
+    (["bounds", "--q", "1", "--n", "1", "--csv", "ART"], "alphabet size"),
+    (["bounds", "--q", "2", "--n", "1", "--csv", "ART"], "--n must be >= 2"),
+    (["bounds", "--q", "2", "--n", "0", "--csv", "ART"], "--n must be >= 2"),
+    (["bounds", "--q", "2", "--n", "1", "--t1", "1", "--t2", "1",
+      "--json", "ART"], "--n must be >= 2"),
+    (["tables", "--which", "table1", "--q", "99", "--n-max", "3",
+      "--csv", "ART"], "alphabet size"),
+    (["tables", "--which", "table2", "--q", "1", "--n-max", "9",
+      "--csv", "ART"], "alphabet size"),
+], ids=["bounds-q99-n0", "bounds-q1-n1", "bounds-n1", "bounds-n0",
+        "bounds-window-n1", "tables-q99", "tables-q1"])
+def test_empty_sweep_still_checks_its_input(tmp_path, monkeypatch, capsys,
+                                            argv, complaint):
+    # a sweep with no window or row to run must not skip the q and n checks
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert complaint in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 def test_search_json_schema(tmp_path):
     out = tmp_path / "search.json"
     rc = main(["search", "--q", "2", "--n", "4", "--t1", "1", "--t2", "3",

@@ -1,5 +1,6 @@
 import time
 from itertools import islice
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 from overlapcodes import families
 from overlapcodes.constructions import code_size_1k, non_overlapping_size
-from overlapcodes.families import (balanced_family, checked, compositions,
-                                   concat_layer, count_vectors, decompose,
-                                   enumerate_families, family,
+from overlapcodes.families import (PartitionFamily, balanced_family, checked,
+                                   compositions, concat_layer, count_vectors,
+                                   decompose, enumerate_families, family,
                                    family_from_code, validate)
-from overlapcodes.words import DIGITS, code
+from overlapcodes.search import enumerate_maximal_codes
+from overlapcodes.words import DIGITS, code, verify_overlap_free
 
 
 EXAMPLE_FAMILY = family(3, [({"0", "1"}, {"2"}), ({"02"}, {"12"})])
@@ -257,6 +259,64 @@ def test_family_from_code_examples():
 def test_family_from_code_refuses_overlapping_code():
     with pytest.raises(ValueError):
         family_from_code(code(2, 4, {"0111", "0011"}), 3)
+
+
+def oracle_family_from_code(c, k):
+    """family_from_code as it was before the level kernel: verify, take the
+    union of every word's prefixes, split each ground set per word, and
+    validate the result."""
+    if k < 1:
+        raise ValueError("depth must be >= 1")
+    witness = verify_overlap_free(c, 1, min(k, c.n - 1))
+    if witness is not None:
+        raise ValueError(
+            f"code is not (1,{k})-overlap-free: prefix of {witness.u!r} is a "
+            f"suffix of {witness.v!r} at t={witness.t}")
+    prefixes = set().union(*(map(itemgetter(slice(t)), c.words)
+                             for t in range(1, min(k, c.n) + 1)))
+    l1 = frozenset(ch for ch in DIGITS[: c.q] if ch in prefixes)
+    levels = [(l1, frozenset(DIGITS[: c.q]) - l1)]
+    for i in range(2, k + 1):
+        ground = concat_layer(PartitionFamily(c.q, tuple(levels)), i)
+        li = frozenset(x for x in ground if x in prefixes)
+        levels.append((li, frozenset(ground) - li))
+    return checked(PartitionFamily(q=c.q, levels=tuple(levels)))
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 5, 4), (3, 6, 4), (3, 6, 5)])
+def test_family_from_code_matches_oracle_on_maximal_codes(q, n, k):
+    for c in islice(enumerate_maximal_codes(q, n, 1, k), 1500):
+        f = family_from_code(c, k)
+        assert f == oracle_family_from_code(c, k)
+        assert validate(f) is None
+
+
+@pytest.mark.parametrize("q,n,words,k", [
+    (2, 4, set(), 2),  # the empty code: L1 is empty
+    (3, 3, set(), 5),
+    (2, 4, {"0111", "0011"}, 3),  # overlapping at t = 3
+    (2, 4, {"0111", "0011"}, 9),
+    (3, 5, {"01212", "12001", "20002"}, 4),
+    (2, 1, {"0"}, 1),  # no window at n = 1
+    (2, 4, {"0001"}, 0),
+])
+def test_family_from_code_errors_match_oracle(q, n, words, k):
+    c = code(q, n, words)
+    with pytest.raises(ValueError) as expected:
+        oracle_family_from_code(c, k)
+    with pytest.raises(ValueError) as got:
+        family_from_code(c, k)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 3), (2, 6), (3, 2), (3, 4)])
+def test_family_from_code_matches_oracle_beyond_block_length(q, k):
+    # k >= n adds the whole words as prefixes; levels past n stay empty
+    for n in range(2, 5):
+        for c in islice(enumerate_maximal_codes(q, n, 1, n - 1), 50):
+            f = family_from_code(c, k)
+            assert f == oracle_family_from_code(c, k)
+            assert validate(f) is None
 
 
 def test_compositions_examples():

@@ -1,12 +1,22 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlapcodes.words import (DIGITS, CodeSet, OverlapWitness, all_words,
-                                check_alphabet, check_window, code, divisors,
-                                is_primitive, least_period, mobius,
-                                overlap_lengths, primitive_count,
-                                self_compatible, verify_overlap_free)
+from overlapcodes.constructions import lift_code, project_code
+from overlapcodes.search import (build_graph, enumerate_maximal_codes,
+                                 greedy_complete, max_code)
+from overlapcodes.words import (DIGITS, CodeSet, OverlapWitness, _trusted_code,
+                                all_words, check_alphabet, check_window, code,
+                                divisors, is_primitive, least_period, mobius,
+                                overlap_lengths, prefix_suffix_levels,
+                                primitive_count, self_compatible,
+                                verify_overlap_free)
+from test_acceptance import construction_suite
+
+DESK_WINDOWS = [(q, n, t1, t2) for q in (2, 3) for n in range(3, 7)
+                for t1 in range(1, n) for t2 in range(t1, n)]
 
 
 def naive_overlap_free(words, n, t1, t2):
@@ -192,3 +202,67 @@ def test_codeset_errors_match_word_loop(q, n, words, window):
         assert str(exc) == expected
     else:
         assert expected is None
+
+
+@given(st.integers(2, 3), st.integers(2, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_prefix_suffix_levels_slice_every_word(q, n, data):
+    words = data.draw(st.sets(st.sampled_from(list(all_words(q, n))),
+                              max_size=10))
+    t1 = data.draw(st.integers(1, n))
+    t2 = data.draw(st.integers(t1, n))
+    levels = list(prefix_suffix_levels(words, n, t1, t2))
+    assert [t for t, _, _ in levels] == list(range(t2, t1 - 1, -1))
+    for t, prefixes, suffixes in levels:
+        assert prefixes == {w[:t] for w in words}
+        assert suffixes == {w[n - t:] for w in words}
+
+
+def assert_strict(c):
+    """c is exactly the code that the strict public constructor builds."""
+    assert type(c) is CodeSet
+    strict = code(c.q, c.n, c.words, c.window)
+    assert c == strict and hash(c) == hash(strict)
+
+
+def test_trusted_builds_equal_strict_builds():
+    # every construction of the criterion-6 suite (q = 3 only to depth 3)
+    labels = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # expanded-t1t2 layers may overlap
+        for q, depths in ((2, range(1, 5)), (3, range(1, 4))):
+            for depth in depths:
+                for label, c, _, _, _ in construction_suite(q, depth):
+                    labels.add(label)
+                    assert_strict(c)
+    assert labels == {"layered", "one-k", "wmu", "padded", "padded-full",
+                      "expanded", "simultaneous"}
+    # max_code witnesses of every engine, lifted and projected back
+    methods = set()
+    for window in DESK_WINDOWS:
+        r = max_code(*window, node_budget=1000)
+        methods.add(r.method)
+        assert_strict(r.code)
+        q, n, t1, t2 = window
+        if n == 2 * t2:
+            lifted = lift_code(r.code, n + 1)
+            assert_strict(lifted)
+            assert_strict(project_code(lifted, t2))
+            assert project_code(lifted, t2) == r.code
+    assert methods == {"quotient", "rectangle", "classcount"}
+    # maximal codes of the Bron-Kerbosch walk, and greedy completion
+    graph = build_graph(3, 4, 1, 2)
+    for c in enumerate_maximal_codes(3, 4, 1, 2, graph=graph):
+        assert_strict(c)
+    assert_strict(greedy_complete(code(3, 4, {"0012"}), 1, 2, graph))
+
+
+def test_trusted_builds_keep_the_constant_checks():
+    with pytest.raises(ValueError, match="alphabet size"):
+        _trusted_code(1, 3, [])
+    with pytest.raises(ValueError, match="block length"):
+        _trusted_code(2, 0, [])
+    with pytest.raises(ValueError, match="overlap window"):
+        _trusted_code(2, 3, [], (1, 3))
+    with pytest.raises(ValueError, match="overlap window"):
+        next(enumerate_maximal_codes(2, 4, 3, 2, graph=build_graph(2, 4, 1, 3)))
