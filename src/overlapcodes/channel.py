@@ -66,6 +66,11 @@ def corrupt(s: SymbolStream, spec: CorruptionSpec) -> SymbolStream:
         if spec.inserted is not None:
             if len(spec.inserted) != b:
                 raise ValueError("inserted symbols must match the burst length")
+            # what strip leaves starts at the first foreign symbol
+            foreign = spec.inserted.strip(DIGITS[: s.q])
+            if foreign:
+                raise ValueError(f"inserted symbol {foreign[0]!r} not in "
+                                 f"alphabet of size {s.q}")
             junk = spec.inserted
         else:
             rng = random.Random(spec.seed)

@@ -34,6 +34,8 @@ def _split_header(line: str, keys: tuple[str, str], path: str) -> tuple[int, int
         if "=" not in part:
             raise FormatError(f"{path}: bad header field {part!r}")
         key, _, raw = part.partition("=")
+        if key in values:
+            raise FormatError(f"{path}: header field {key!r} given twice")
         try:
             values[key] = int(raw)
         except ValueError:

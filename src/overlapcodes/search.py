@@ -29,7 +29,10 @@ desk-scale parameter space:
 engine's witness is a list of concatenation terms of length n, which
 ``max_code`` fills with ``constructions._materialize`` (capped at
 ``MAX_WORDS``); ``build_graph`` caps its universe at ``VERTEX_CAP`` words.
-Both caps raise ``CodeTooLarge``.
+Both caps raise ``CodeTooLarge``.  ``build_graph`` slices each vertex once,
+at level t2, and derives the lower levels' prefix and suffix masks from the
+level above, as ``words.prefix_suffix_levels`` does for sets; its docstring
+shows why the rows equal one pass over the vertices per level.
 ``table_rows`` builds the expansion tables: it expands the maximum
 non-overlapping codes found by search with the layered construction, walking
 ``families.count_vectors`` in place of every family.
@@ -58,8 +61,7 @@ from .constructions import (CodeTooLarge, _alphabet_factors, _lift_terms,
 from .families import (PartitionFamily, checked, count_vectors,
                        family_from_code)
 from .words import (CodeSet, _trusted_code, all_words, check_alphabet,
-                    check_window, prefix_suffix_levels, self_compatible,
-                    verify_overlap_free)
+                    check_window, prefix_suffix_levels, verify_overlap_free)
 
 DEFAULT_NODE_BUDGET = 20_000_000
 TABLE_NODE_BUDGET = 2_000_000
@@ -104,26 +106,53 @@ class CompatibilityGraph:
 def build_graph(q: int, n: int, t1: int, t2: int) -> CompatibilityGraph:
     """Vertices: self-compatible words in lexicographic order.  Edge absent
     iff some t in [t1, t2] makes a prefix of one word a suffix of the other,
-    in either direction."""
+    in either direction.
+
+    The levels are derived as in ``words.prefix_suffix_levels``.  One pass
+    over the vertices ORs bit i into pre[x] for x = pre_t2(w_i) and into
+    suf[y] for y = suf_t2(w_i); each lower level merges the masks of the
+    level above by x[:-1] and y[1:], one step per distinct string.  Then,
+    from t1 up to t2, a[x] = a[x[:-1]] | suf_t[x] over the t-prefixes x is
+    the mask of the words whose s-suffix equals x[:s] for some s in [t1, t],
+    and b[y] = b[y[1:]] | pre_t[y] over the t-suffixes y is its mirror.
+    For t <= t2, pre_t(w) is the t-prefix of pre_t2(w) and suf_t(w) the
+    t-suffix of suf_t2(w), so the conflicts of w summed over the window are
+    a[pre_t2(w)] | b[suf_t2(w)], and row i is the complement of those and
+    bit i: the same rows as one pass over the vertices per level."""
     check_alphabet(q)
     check_window(n, t1, t2)
     if q ** n > VERTEX_CAP:
         raise CodeTooLarge(f"universe of {q ** n} words exceeds vertex cap "
                            f"{VERTEX_CAP}")
-    verts = [w for w in all_words(q, n) if self_compatible(w, t1, t2)]
-    conflict = [1 << i for i in range(len(verts))]
+    verts = list(all_words(q, n))
     for t in range(t1, t2 + 1):
-        by_prefix: dict[str, int] = {}
-        by_suffix: dict[str, int] = {}
-        cut = n - t
-        for i, w in enumerate(verts):
-            bit = 1 << i
-            by_prefix[w[:t]] = by_prefix.get(w[:t], 0) | bit
-            by_suffix[w[cut:]] = by_suffix.get(w[cut:], 0) | bit
-        for i, w in enumerate(verts):
-            conflict[i] |= by_suffix.get(w[:t], 0) | by_prefix.get(w[cut:], 0)
+        verts = [w for w in verts if w[:t] != w[n - t:]]
+    cut = n - t2
+    pre: dict[str, int] = {}
+    suf: dict[str, int] = {}
+    for i, w in enumerate(verts):
+        bit, x, y = 1 << i, w[:t2], w[cut:]
+        pre[x] = pre.get(x, 0) | bit
+        suf[y] = suf.get(y, 0) | bit
+    levels = [(pre, suf)]
+    for _ in range(t2 - t1):
+        lower_pre: dict[str, int] = {}
+        lower_suf: dict[str, int] = {}
+        for x, mask in pre.items():
+            lower_pre[x[:-1]] = lower_pre.get(x[:-1], 0) | mask
+        for y, mask in suf.items():
+            lower_suf[y[1:]] = lower_suf.get(y[1:], 0) | mask
+        pre, suf = lower_pre, lower_suf
+        levels.append((pre, suf))
+    a: dict[str, int] = {}
+    b: dict[str, int] = {}
+    while levels:  # t = t1 up to t2; each level is dropped once it is read
+        pre, suf = levels.pop()
+        a = {x: a.get(x[:-1], 0) | suf.get(x, 0) for x in pre}
+        b = {y: b.get(y[1:], 0) | pre.get(y, 0) for y in suf}
     full = (1 << len(verts)) - 1
-    adj = tuple(full ^ mask for mask in conflict)
+    adj = tuple(full ^ (1 << i | a[w[:t2]] | b[w[cut:]])
+                for i, w in enumerate(verts))
     return CompatibilityGraph(tuple(verts), adj)
 
 

@@ -46,6 +46,15 @@ def test_corrupt_rejects_bad_bursts():
         corrupt(s, CorruptionSpec("delete", 3, 2))
     with pytest.raises(ValueError):
         corrupt(s, CorruptionSpec("warp", 0, 1))
+    for inserted, first in (("7", "7"), ("0x2", "x"), ("21", "2")):
+        with pytest.raises(ValueError, match=f"symbol '{first}' not in "
+                                             "alphabet of size 2"):
+            corrupt(s, CorruptionSpec("insert", 1, len(inserted),
+                                      inserted=inserted))
+    # the alphabet is the stream's: 2 is a symbol at q = 3
+    s3 = encode_stream(code(3, 4, {"0012"}), [0])
+    assert corrupt(s3, CorruptionSpec("insert", 4, 1,
+                                      inserted="2")).symbols == "00122"
 
 
 def test_clean_stream_decodes_without_desync():

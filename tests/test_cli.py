@@ -341,6 +341,10 @@ def test_simulate_explicit_edits(tmp_path):
     ({"message": [0, 1], "window": [2, 3],
       "edits": [{"kind": "insert", "position": 2, "burst_length": 1,
                  "seed": True}]}, "'seed'"),
+    ({"message": [0, 1], "window": [2, 3],
+      "edits": [{"kind": "insert", "position": 0, "burst_length": 1,
+                 "inserted": "7"}]},
+     "inserted symbol '7' not in alphabet of size 2"),
 ])
 def test_simulate_rejects_malformed_edits(tmp_path, capsys, edits, complaint):
     code_path = tmp_path / "code.txt"

@@ -35,6 +35,20 @@ def test_code_parse_errors():
         parse_code("")
 
 
+def test_code_header_field_given_twice():
+    with pytest.raises(FormatError,
+                       match="^c.txt: header field 'n' given twice$"):
+        parse_code("q=2 n=4 n=3\n011\n", "c.txt")
+    with pytest.raises(FormatError, match="field 'q' given twice"):
+        parse_code("q=2 n=3 q=2\n011\n")
+
+
+def test_family_header_field_given_twice():
+    with pytest.raises(FormatError,
+                       match="^f.txt: header field 'k' given twice$"):
+        parse_family("q=2 k=1 k=2\nL1: 0\nR1: 1\nL2: 01\nR2:\n", "f.txt")
+
+
 def test_code_comments_and_blank_lines():
     c = parse_code("# heading\nq=2 n=3\n\n001  # inline note\n011\n")
     assert c.words == {"001", "011"}

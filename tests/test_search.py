@@ -19,7 +19,7 @@ from overlapcodes.search import (SearchBudgetExceeded, _best_split,
                                  greedy_complete, is_maximal, max_code,
                                  maximality_certificate)
 from overlapcodes.words import (DIGITS, all_words, code, overlap_lengths,
-                                verify_overlap_free)
+                                self_compatible, verify_overlap_free)
 
 
 def brute_max_size(q, n, t1, t2):
@@ -59,8 +59,8 @@ def brute_max_size(q, n, t1, t2):
     return best
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (2, 5),
-                                 (3, 2), (3, 3), (3, 4), (3, 5)])
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                 (3, 2), (3, 3), (3, 4), (3, 5), (4, 3)])
 def test_adjacency_matches_overlap_oracle(q, n):
     words = list(all_words(q, n))
     clash = {(u, v): overlap_lengths(u, v) | overlap_lengths(v, u)
@@ -397,6 +397,43 @@ def test_binary_edge_check_rejects_ternary():
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 3), (3, 4, 2)])
 def test_all_maximal_codes_come_from_the_construction(q, n, k):
     assert all_maximal_from_construction(q, n, k) is None
+
+
+# -- the graph build against its one-pass-per-level oracle -------------------
+
+def oracle_build_graph(q, n, t1, t2):
+    """The graph build the level-derived masks replaced: every level t in
+    the window makes its own two passes over the vertices."""
+    verts = [w for w in all_words(q, n) if self_compatible(w, t1, t2)]
+    conflict = [1 << i for i in range(len(verts))]
+    for t in range(t1, t2 + 1):
+        by_prefix = {}
+        by_suffix = {}
+        cut = n - t
+        for i, w in enumerate(verts):
+            bit = 1 << i
+            by_prefix[w[:t]] = by_prefix.get(w[:t], 0) | bit
+            by_suffix[w[cut:]] = by_suffix.get(w[cut:], 0) | bit
+        for i, w in enumerate(verts):
+            conflict[i] |= by_suffix.get(w[:t], 0) | by_prefix.get(w[cut:], 0)
+    full = (1 << len(verts)) - 1
+    return CompatibilityGraph(tuple(verts),
+                              tuple(full ^ mask for mask in conflict))
+
+
+@pytest.mark.parametrize("q,n_max", [(2, 6), (3, 6), (4, 6), (5, 5)])
+def test_graph_matches_per_level_oracle_on_every_window(q, n_max):
+    for n in range(2, n_max + 1):
+        for t1 in range(1, n):
+            for t2 in range(t1, n):
+                assert build_graph(q, n, t1, t2) == \
+                    oracle_build_graph(q, n, t1, t2), (q, n, t1, t2)
+
+
+def test_graph_matches_per_level_oracle_on_the_wide_binary_window():
+    # the sweep above holds the other wide-search window, (5, 5, 1, 4), and
+    # the maximal workload's four graphs (3, 5, 1, 4) and (3, 6, 1, 3..5)
+    assert build_graph(2, 12, 2, 10) == oracle_build_graph(2, 12, 2, 10)
 
 
 # -- the clique engines against their bit i = vertex i oracles ---------------
