@@ -1,15 +1,13 @@
 """Command-line surface: construct, verify, bounds, search, tables, simulate,
 families.  Each command is a thin shell over the library; ``tables`` prints
-``search.table_rows`` and ``search --method`` takes ``search.METHODS``.
+``constructions.table_rows``, ``search --method`` takes ``search.METHODS``.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage (a negative ``--budget``
-or ``--max-families`` too), 3 budget or size cap exhausted.  ``tables``
-marks a row ``truncated`` when its base search ran out of node budget, so
-base_max is not certified maximum; that row ends the table, and the command
-exits 3.  Every artifact goes through ``_emit``: to stdout when no path
-is given, else to its file with a ``<file>.manifest.json`` sidecar recording
-the command, parameters, seed, and the artifact's sha256.  A library
-warning prints as one ``warning: <message>`` line on stderr.
+or ``--max-families`` too), 3 budget or size cap exhausted.  Every artifact
+goes through ``_emit``: to stdout when no path is given, else to its file
+with a ``<file>.manifest.json`` sidecar recording the command, parameters,
+seed, and the artifact's sha256.  A library warning prints as one
+``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -32,11 +30,11 @@ from .channel import (CorruptionSpec, burst_range, corrupt, detection_offset,
                       encode_stream, scan_decode)
 from .constructions import (KINDS, CodeTooLarge, ConstructionSpec,
                             DisjointnessViolation, claimed_windows,
-                            run_construction)
+                            run_construction, table_rows)
 from .families import enumerate_families
 from .fileio import (FormatError, RunManifest, format_code, format_family,
                      read_code, read_family, sha256_digest, write_manifest)
-from .search import METHODS, max_code, table_rows
+from .search import METHODS, max_code
 from .words import DIGITS, check_alphabet, verify_overlap_free
 
 EXIT_OK = 0
@@ -217,18 +215,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     params = {"which": args.which, "q": args.q, "n_max": args.n_max}
-    rows = list(table_rows(args.which, args.q, args.n_max))
     lines = [["which", "q", "n", "base_max", "families_at_max", "value",
-              "bold", "truncated"]]
-    for row in rows:
-        lines.append([args.which, args.q, row["n"], row["base_max"],
-                      row["families_at_max"], row["value"],
-                      "yes" if row["bold"] else "no",
-                      "no" if row["base_exact"] else "yes"])
+              "bold"]]
+    lines += ([args.which, args.q, row["n"], row["base_max"],
+               row["families_at_max"], row["value"],
+               "yes" if row["bold"] else "no"]
+              for row in table_rows(args.which, args.q, args.n_max))
     _emit(args, args.csv, [_csv(lines)], params)
-    if all(row["base_exact"] for row in rows):
-        return EXIT_OK
-    return EXIT_BUDGET
+    return EXIT_OK
 
 
 def _check_edits(data) -> None:

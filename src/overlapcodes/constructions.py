@@ -10,6 +10,8 @@ One generator, ``_t1t2_terms``, yields the layered terms; the (1, k) code is
 its t1 = 1 case and the non-overlapping code is the (1, n-1) code.  Each
 size formula is an independent oracle that shares its builder's argument
 checks.  ``KINDS`` gives each spec kind its fields, builder and windows.
+``table_rows`` builds the expansion tables from the size formulas alone,
+over ``families.count_vectors``; no search runs.
 
 Every derived word set, ``lift_code`` and the ``search.max_code`` witnesses
 included, is a list of terms filled by ``_materialize``, which raises
@@ -26,9 +28,9 @@ from itertools import product as iproduct
 from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .families import PartitionFamily, checked, compositions
-from .words import (DIGITS, CodeSet, _trusted_code, check_window,
-                    verify_overlap_free)
+from .families import PartitionFamily, checked, compositions, count_vectors
+from .words import (DIGITS, CodeSet, _trusted_code, check_alphabet,
+                    check_window, verify_overlap_free)
 
 MAX_WORDS = 10_000_000
 
@@ -57,7 +59,7 @@ def _materialize(terms: Iterable[Sequence[frozenset[str]]], *, q: int, n: int,
     generated = sum(prod(map(len, factors)) for factors in terms)
     if generated > MAX_WORDS:
         raise CodeTooLarge(f"{label}: more than {MAX_WORDS} words would be "
-                           f"generated ({generated})")
+                           "generated")
     words: set[str] = set()
     for factors in terms:
         words.update(map("".join, iproduct(*factors)))
@@ -161,6 +163,43 @@ def code_size_1k(f: PartitionFamily, n: int, k: int) -> int:
     return sum(sum(left[j] * right[s - j] for j in range(s - k, k + 1))
                * sum(a[m] * b[n - s - m] for m in range(n - s + 1))
                for s in range(k + 1, n + 1))
+
+
+def table_rows(which: str, q: int, n_max: int) -> Iterator[dict]:
+    """Rows (n, base_max, families_at_max, value, bold) of the
+    layered-construction tables.
+
+    table1: expand maximum non-overlapping codes of length n-1 to window
+    (1, n-2) codes of length n; bold marks value > q * base_max.
+    table2: length n-2 codes to window (1, n-3) at length n; bold marks
+    value > q^2 * base_max.
+
+    Every maximal (1, k)-overlap-free code of length m with k >= m/2 is the
+    layered code on the family derived from its prefixes.  A base code is
+    the case k = m-1 >= m/2, m >= 2 (Blackburn 2015), so base_max is the
+    largest ``non_overlapping_size`` over the depth-(m-1) level-count
+    vectors; families_at_max counts the families reaching it and value is
+    their largest ``code_size_1k``.
+    """
+    check_alphabet(q)  # before the first row, even when there is none
+    if which == "table1":
+        n_lo, gap = 5, 1
+    elif which == "table2":
+        n_lo, gap = 6, 2
+    else:
+        raise ValueError("which must be table1 or table2")
+    for n in range(n_lo, n_max + 1):
+        k = n - gap - 1  # the base codes have length k + 1
+        base_max, families, best = 0, 0, 0
+        for f, shared in count_vectors(q, k):
+            size = non_overlapping_size(f, k + 1)
+            if size > base_max:
+                base_max, families, best = size, 0, 0
+            if size == base_max:
+                families += shared
+                best = max(best, code_size_1k(f, n, k))
+        yield {"n": n, "base_max": base_max, "families_at_max": families,
+               "value": best, "bold": best > q ** gap * base_max}
 
 
 def _check_wmu(f: PartitionFamily, n: int, k: int, label: str) -> None:

@@ -106,8 +106,13 @@ def parse_family(text: str, path: str = "<string>") -> PartitionFamily:
         if not 1 <= level <= k:
             raise FormatError(f"{path}: level {level} outside [1, {k}]")
         sets.setdefault(tag, set()).update(rest.split())
-    levels = [(sets.get(f"L{i}", set()), sets.get(f"R{i}", set()))
-              for i in range(1, k + 1)]
+    # a valid family has no empty level, so stop at the first one, where
+    # validation fails: a declared depth k is not walked k times
+    levels = []
+    for i in range(1, k + 1):
+        levels.append((sets.get(f"L{i}", set()), sets.get(f"R{i}", set())))
+        if not any(levels[-1]):
+            break
     try:
         return checked(family(q, levels))
     except ValueError as exc:

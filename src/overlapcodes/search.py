@@ -33,9 +33,6 @@ Both caps raise ``CodeTooLarge``.  ``build_graph`` slices each vertex once,
 at level t2, and derives the lower levels' prefix and suffix masks from the
 level above, as ``words.prefix_suffix_levels`` does for sets; its docstring
 shows why the rows equal one pass over the vertices per level.
-``table_rows`` builds the expansion tables: it expands the maximum
-non-overlapping codes found by search with the layered construction, walking
-``families.count_vectors`` in place of every family.
 
 Bit conventions.  A ``CompatibilityGraph`` mask and every mask a public
 function takes or returns has bit i = vertex i.  The two clique engines
@@ -56,15 +53,12 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
 from .constructions import (CodeTooLarge, _alphabet_factors, _lift_terms,
-                            _materialize, code_size_1k, non_overlapping_size,
-                            overlap_free_1k)
-from .families import (PartitionFamily, checked, count_vectors,
-                       family_from_code)
+                            _materialize, overlap_free_1k)
+from .families import PartitionFamily, checked, family_from_code
 from .words import (CodeSet, _trusted_code, all_words, check_alphabet,
                     check_window, prefix_suffix_levels, verify_overlap_free)
 
 DEFAULT_NODE_BUDGET = 20_000_000
-TABLE_NODE_BUDGET = 2_000_000
 VERTEX_CAP = 1 << 20
 _RECTANGLE_ASSIGNMENT_CAP = 1 << 13
 _RECTANGLE_SIDE_CAP = 1 << 12
@@ -122,7 +116,7 @@ def build_graph(q: int, n: int, t1: int, t2: int) -> CompatibilityGraph:
     check_alphabet(q)
     check_window(n, t1, t2)
     if q ** n > VERTEX_CAP:
-        raise CodeTooLarge(f"universe of {q ** n} words exceeds vertex cap "
+        raise CodeTooLarge(f"universe of {q}^{n} words exceeds vertex cap "
                            f"{VERTEX_CAP}")
     verts = list(all_words(q, n))
     for t in range(t1, t2 + 1):
@@ -696,37 +690,3 @@ def all_maximal_from_construction(q: int, n: int, k: int, *,
         if rebuilt.words != c.words:
             return RoundTripCounterexample(code=c, rebuilt=rebuilt)
     return None
-
-
-def table_rows(which: str, q: int, n_max: int) -> Iterator[dict]:
-    """Rows (n, base_max, families_at_max, value, bold, base_exact) of the
-    layered-construction tables.
-
-    table1: expand maximum non-overlapping codes of length n-1 to window
-    (1, n-2) codes of length n; bold marks value > q * base_max.
-    table2: length n-2 codes to window (1, n-3) at length n; bold marks
-    value > q^2 * base_max.  A row whose base search runs out of
-    TABLE_NODE_BUDGET has base_exact False, counts the families reaching
-    the size found, and ends the table.
-    """
-    check_alphabet(q)  # before the first row, even when there is none
-    if which == "table1":
-        n_lo, gap = 5, 1
-    elif which == "table2":
-        n_lo, gap = 6, 2
-    else:
-        raise ValueError("which must be table1 or table2")
-    for n in range(n_lo, n_max + 1):
-        base_n = n - gap
-        k = base_n - 1
-        base = max_code(q, base_n, 1, k, node_budget=TABLE_NODE_BUDGET)
-        families, best = 0, 0
-        for f, shared in count_vectors(q, k):
-            if non_overlapping_size(f, base_n) == base.size:
-                families += shared
-                best = max(best, code_size_1k(f, n, k))
-        yield {"n": n, "base_max": base.size, "families_at_max": families,
-               "value": best, "bold": best > q ** gap * base.size,
-               "base_exact": base.exact}
-        if not base.exact:
-            return

@@ -14,11 +14,10 @@ import pytest
 from overlapcodes.bounds import bound_report, round_nearest, upper_bounds
 from overlapcodes.channel import (CorruptionSpec, burst_range, corrupt,
                                   detection_offset, encode_stream, scan_decode)
-from overlapcodes.search import table_rows
 from overlapcodes.constructions import (code_size_1k, non_overlapping,
                                         non_overlapping_size, overlap_free_1k,
                                         pad_t1t2, simultaneous, t1t2_expanded,
-                                        wmu_expanded, wmu_size)
+                                        table_rows, wmu_expanded, wmu_size)
 from overlapcodes.families import enumerate_families, family_from_code
 from overlapcodes.search import (all_maximal_from_construction,
                                  binary_edge_check, build_graph,
@@ -65,12 +64,25 @@ def test_criterion_03_table1_rows():
     for n, (value, bold) in expected_q2.items():
         assert rows[n]["value"] == value, (n, rows[n])
         assert rows[n]["bold"] == bold
-        assert rows[n]["base_exact"]
-    rows3 = {row["n"]: row for row in table_rows("table1", 3, 5)}
+    rows3 = {row["n"]: row for row in table_rows("table1", 3, 8)}
     assert rows3[5]["value"] == 24 and rows3[5]["bold"] is False
+    row = rows3[8]
+    assert (row["base_max"], row["families_at_max"], row["value"],
+            row["bold"]) == (99, 12, 338, True)
     elapsed = time.time() - started
     assert elapsed < 600
-    announce(3, f"table1 rows (5,2)=3b (6,2)=5b (7,2)=8b (5,3)=24 ({elapsed:.1f}s)")
+    announce(3, f"table1 rows (5,2)=3b (6,2)=5b (7,2)=8b (5,3)=24 (8,3)=338b "
+                f"({elapsed:.1f}s)")
+
+
+@pytest.mark.parametrize("q,m_max", [(2, 9), (3, 6), (4, 4)])
+def test_table_base_max_is_exact_search_maximum(q, m_max):
+    """Exact search is the oracle for the family characterisation behind
+    the tables: base_max of the table1 row at n = m + 1 is S(q, m, 1, m-1)."""
+    for row in table_rows("table1", q, m_max + 1):
+        m = row["n"] - 1
+        result = max_code(q, m, 1, m - 1)
+        assert result.exact and result.size == row["base_max"], (q, m)
 
 
 def test_criterion_04_table2_rows():

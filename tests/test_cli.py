@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 from jsonschema import validate as schema_validate
 
-from overlapcodes import search
 from overlapcodes.cli import SPEC_INTEGERS, SPEC_PATHS, main
 from overlapcodes.constructions import KINDS
 from overlapcodes.fileio import read_code, write_code, write_family
@@ -149,12 +148,16 @@ def test_construct_spec_check_mirrors_schema():
      ["--strict"], 1, "not disjoint (8 generated, 7 distinct)"),
     ({"kind": "PadT1T2", "n": 27, "t1": 25, "t2": 25, "code": "base.txt"},
      [], 3, "more than 10000000 words"),
+    # 2^29997 middles: past the digits an int converts to str
+    ({"kind": "Simultaneous", "n": 30000, "k": 1, "family": "fam1.txt"},
+     [], 3, "more than 10000000 words"),
 ])
 def test_construct_library_errors_exit_with_one_line(
         tmp_path, monkeypatch, capsys, spec, flags, exit_code, complaint):
     monkeypatch.chdir(tmp_path)
     Path("fam3.txt").write_text(
         "q=2 k=3\nL1: 0\nR1: 1\nL2:\nR2: 01\nL3: 001\nR3:\n")
+    Path("fam1.txt").write_text("q=2 k=1\nL1: 0\nR1: 1\n")
     write_code(code(2, 3, {"001"}), "base.txt")
     rc, out = run_spec(tmp_path, spec, *flags)
     assert rc == exit_code
@@ -265,10 +268,12 @@ def test_search_json_schema(tmp_path):
 @pytest.mark.parametrize("t1,t2,complaint", [
     ("1", "2", "more than 10000000 words"),  # rectangle witness
     ("3", "20", "exceeds vertex cap"),  # 2^30-word graph
+    ("1", "19999", "exceeds vertex cap"),  # 2^20000: past int-to-str digits
 ])
 def test_search_over_cap_exits_budget(tmp_path, capsys, t1, t2, complaint):
     out = tmp_path / "search.json"
-    rc = main(["search", "--q", "2", "--n", "30", "--t1", t1, "--t2", t2,
+    n = str(max(30, int(t2) + 1))  # a window past 29 needs n = t2 + 1
+    rc = main(["search", "--q", "2", "--n", n, "--t1", t1, "--t2", t2,
                "--json", str(out)])
     assert rc == 3 and not out.exists()
     err = capsys.readouterr().err
@@ -462,8 +467,8 @@ def test_tables_without_csv_prints_csv_and_no_manifest(tmp_path, monkeypatch,
     rc = main(["tables", "--which", "table1", "--q", "2", "--n-max", "5"])
     assert rc == 0
     assert capsys.readouterr().out == (
-        "which,q,n,base_max,families_at_max,value,bold,truncated\r\n"
-        "table1,2,5,1,8,3,yes,no\r\n")
+        "which,q,n,base_max,families_at_max,value,bold\r\n"
+        "table1,2,5,1,8,3,yes\r\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -471,20 +476,9 @@ def test_tables_q3_rows(capsys):
     rc = main(["tables", "--which", "table1", "--q", "3", "--n-max", "6"])
     assert rc == 0
     assert capsys.readouterr().out == (
-        "which,q,n,base_max,families_at_max,value,bold,truncated\r\n"
-        "table1,3,5,8,6,24,no,no\r\n"
-        "table1,3,6,17,12,58,yes,no\r\n")
-
-
-def test_budget_limited_base_search_truncates_table(monkeypatch, capsys):
-    # 5 nodes do not certify S(3,4,1,3) = 8: the row is truncated and the
-    # table ends there.
-    monkeypatch.setattr(search, "TABLE_NODE_BUDGET", 5)
-    rc = main(["tables", "--which", "table1", "--q", "3", "--n-max", "6"])
-    assert rc == 3
-    assert capsys.readouterr().out == (
-        "which,q,n,base_max,families_at_max,value,bold,truncated\r\n"
-        "table1,3,5,2,6,6,no,yes\r\n")
+        "which,q,n,base_max,families_at_max,value,bold\r\n"
+        "table1,3,5,8,6,24,no\r\n"
+        "table1,3,6,17,12,58,yes\r\n")
 
 
 def test_deterministic_outputs(tmp_path):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,14 @@ def test_family_parser_validates():
         parse_family("q=2 k=1\nX1: 0\n")
     with pytest.raises(FormatError, match="outside"):
         parse_family("q=2 k=1\nL3: 0\n")
+
+
+def test_family_depth_costs_nothing_past_its_levels():
+    # level 2 is empty, so a depth of 10^9 fails there without being built
+    started = time.perf_counter()
+    with pytest.raises(FormatError, match=r"level 2: .*missing \['01'\]"):
+        parse_family("q=2 k=1000000000\nL1: 0\nR1: 1\n")
+    assert time.perf_counter() - started < 0.1
 
 
 def test_every_enumerated_family_survives_round_trip():
