@@ -3,11 +3,12 @@ families.  Each command is a thin shell over the library; ``tables`` prints
 ``constructions.table_rows``, ``search --method`` takes ``search.METHODS``.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage (a negative ``--budget``
-or ``--max-families`` too), 3 budget or size cap exhausted.  Every artifact
-goes through ``_emit``: to stdout when no path is given, else to its file
-with a ``<file>.manifest.json`` sidecar recording the command, parameters,
-seed, and the artifact's sha256.  A library warning prints as one
-``warning: <message>`` line on stderr.
+or ``--max-families`` and an option the command would drop too), 3 budget or
+size cap exhausted (``bounds`` also when q^n has more digits than the
+interpreter's int-to-str limit).  Every artifact goes through ``_emit``: to
+stdout when no path is given, else to its file with a ``<file>.manifest.json``
+sidecar recording the command, parameters, seed, and the artifact's sha256.
+A library warning prints as one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 import warnings
@@ -181,6 +183,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.n < 2:
         sys.stderr.write(f"bounds: --n must be >= 2, got {args.n}\n")
         return EXIT_USAGE
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and args.n * math.log10(args.q) >= limit:  # rule values <= q^n
+        raise CodeTooLarge(f"bounds: {args.q}^{args.n} has more than {limit} "
+                           "digits, the int-to-str limit")
     if window:
         payload = _report_payload(args.q, args.n, args.t1, args.t2)
         _emit(args, args.json, [_json(payload)], params)
@@ -311,6 +317,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_families(args: argparse.Namespace) -> int:
     if args.validate:
+        dropped = [f"--{option.replace('_', '-')}" for option in
+                   ("q", "k", "out", "max_families")
+                   if getattr(args, option) is not None]
+        if dropped:
+            sys.stderr.write(f"families: {' '.join(dropped)} not used with "
+                             "--validate FILE\n")
+            return EXIT_USAGE
         try:
             read_family(args.validate)
         except FormatError as exc:

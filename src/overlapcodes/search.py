@@ -34,15 +34,12 @@ at level t2, and derives the lower levels' prefix and suffix masks from the
 level above, as ``words.prefix_suffix_levels`` does for sets; its docstring
 shows why the rows equal one pass over the vertices per level.
 
-Bit conventions.  A ``CompatibilityGraph`` mask and every mask a public
-function takes or returns has bit i = vertex i.  The two clique engines
+Bit convention.  A mask over a ``CompatibilityGraph`` with m vertices puts
+vertex i at bit m-1-i, in ``build_graph``'s rows and in every mask a
+function here takes or returns.  The lowest-numbered vertex of a mask is then
+v = m-i = ``mask.bit_length()``, which is the vertex both clique engines
 (``_MaxClique`` and the Bron-Kerbosch walk of ``enumerate_maximal_codes``)
-run instead on a private top-bit view built by ``_top_bit_view``: vertex i
-sits at bit m-1-i, and the rows are indexed by ``bit_length()`` = m-i.  Both
-engines visit the lowest-numbered vertex of a mask first; in the view that
-vertex is found by one ``mask.bit_length()``, where bit i = vertex i needs
-``mask & -mask`` and a ``bit_length()`` for every step.  The search tree is
-the same in both conventions.
+visit first; their tables are indexed by that v.
 """
 
 from __future__ import annotations
@@ -70,23 +67,52 @@ class SearchBudgetExceeded(Exception):
     """Internal: node budget ran out mid-search."""
 
 
+def _top_bit_view(adjacency: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The adj and bit = 1 << (v-1) tables indexed by v = m-i for vertex i
+    (module docstring); index 0 is unused."""
+    bit = [0] + [1 << j for j in range(len(adjacency))]
+    return [0, *reversed(adjacency)], bit
+
+
+def _greedy(adj: list[int], bit: list[int], cand: int) -> int:
+    """The clique that takes the lowest-numbered vertex of cand, keeps its
+    neighbours in cand, and repeats; adj and bit as ``_top_bit_view``."""
+    mask = 0
+    while cand:
+        v = cand.bit_length()
+        mask |= bit[v]
+        cand &= adj[v]
+    return mask
+
+
 @dataclass(frozen=True)
 class CompatibilityGraph:
+    """The self-compatible words of one window and their compatibility
+    rows.  Every mask, the rows included, puts vertex i (``vertices[i]``) at
+    bit m-1-i, where m is the number of vertices."""
+
     vertices: tuple[str, ...]
     adjacency: tuple[int, ...]
 
     def words(self, mask: int) -> set[str]:
         """The vertices whose bits are set in mask."""
+        _, bit, names = self._view
         words = set()
         while mask:
-            low = mask & -mask
-            mask ^= low
-            words.add(self.vertices[low.bit_length() - 1])
+            v = mask.bit_length()
+            mask ^= bit[v]
+            words.add(names[v])
         return words
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.vertices)}
+
+    @cached_property
+    def _view(self) -> tuple[list[int], list[int], tuple[str, ...]]:
+        """The ``_top_bit_view`` tables and the word names[v] of each v."""
+        return (*_top_bit_view(self.adjacency),
+                ("", *reversed(self.vertices)))
 
     def extensions(self, words: Iterable[str]) -> int:
         """Mask of the vertices adjacent to every one of words."""
@@ -103,8 +129,8 @@ def build_graph(q: int, n: int, t1: int, t2: int) -> CompatibilityGraph:
     in either direction.
 
     The levels are derived as in ``words.prefix_suffix_levels``.  One pass
-    over the vertices ORs bit i into pre[x] for x = pre_t2(w_i) and into
-    suf[y] for y = suf_t2(w_i); each lower level merges the masks of the
+    over the vertices ORs the bit of w_i into pre[x] for x = pre_t2(w_i) and
+    into suf[y] for y = suf_t2(w_i); each lower level merges the masks of the
     level above by x[:-1] and y[1:], one step per distinct string.  Then,
     from t1 up to t2, a[x] = a[x[:-1]] | suf_t[x] over the t-prefixes x is
     the mask of the words whose s-suffix equals x[:s] for some s in [t1, t],
@@ -112,7 +138,7 @@ def build_graph(q: int, n: int, t1: int, t2: int) -> CompatibilityGraph:
     For t <= t2, pre_t(w) is the t-prefix of pre_t2(w) and suf_t(w) the
     t-suffix of suf_t2(w), so the conflicts of w summed over the window are
     a[pre_t2(w)] | b[suf_t2(w)], and row i is the complement of those and
-    bit i: the same rows as one pass over the vertices per level."""
+    the bit of w_i: the same rows as one pass over the vertices per level."""
     check_alphabet(q)
     check_window(n, t1, t2)
     if q ** n > VERTEX_CAP:
@@ -121,11 +147,11 @@ def build_graph(q: int, n: int, t1: int, t2: int) -> CompatibilityGraph:
     verts = list(all_words(q, n))
     for t in range(t1, t2 + 1):
         verts = [w for w in verts if w[:t] != w[n - t:]]
-    cut = n - t2
+    cut, top = n - t2, len(verts) - 1
     pre: dict[str, int] = {}
     suf: dict[str, int] = {}
     for i, w in enumerate(verts):
-        bit, x, y = 1 << i, w[:t2], w[cut:]
+        bit, x, y = 1 << (top - i), w[:t2], w[cut:]
         pre[x] = pre.get(x, 0) | bit
         suf[y] = suf.get(y, 0) | bit
     levels = [(pre, suf)]
@@ -145,39 +171,17 @@ def build_graph(q: int, n: int, t1: int, t2: int) -> CompatibilityGraph:
         a = {x: a.get(x[:-1], 0) | suf.get(x, 0) for x in pre}
         b = {y: b.get(y[1:], 0) | pre.get(y, 0) for y in suf}
     full = (1 << len(verts)) - 1
-    adj = tuple(full ^ (1 << i | a[w[:t2]] | b[w[cut:]])
+    adj = tuple(full ^ (1 << (top - i) | a[w[:t2]] | b[w[cut:]])
                 for i, w in enumerate(verts))
     return CompatibilityGraph(tuple(verts), adj)
-
-
-_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _reverse_bits(x: int, m: int) -> int:
-    """The low m bits of x in reverse order: bit i moves to bit m-1-i."""
-    nb = (m + 7) // 8
-    return int.from_bytes(x.to_bytes(nb, "little").translate(_REV8),
-                          "big") >> (8 * nb - m)
-
-
-def _top_bit_view(adjacency: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """The adj and bit = 1 << (v-1) tables of the top-bit view (module
-    docstring), both indexed by v = m-i for vertex i; index 0 is unused."""
-    m = len(adjacency)
-    adj = [0] + [_reverse_bits(a, m) for a in reversed(adjacency)]
-    bit = [0] + [1 << j for j in range(m)]
-    return adj, bit
 
 
 class _MaxClique:
     """Deterministic bit-parallel branch and bound; the bound at a node is
     the number of greedy colour classes of its candidate set (BBMC).
 
-    The search runs on the top-bit view of the graph (module docstring), so
-    each step of the colouring walk finds its vertex with one bit_length().
-    It visits the vertices in the order of the bit i = vertex i walk, which
-    keeps the search tree, node count and witness of that walk; solve
-    returns the witness with bit i = vertex i."""
+    Each step of the colouring walk finds the lowest-numbered vertex of its
+    mask with one bit_length() (module docstring)."""
 
     def __init__(self, adjacency: tuple[int, ...], node_budget: int):
         self.m = len(adjacency)
@@ -188,16 +192,6 @@ class _MaxClique:
         self.nodes = 0
         self.best_size = 0
         self.best_mask = 0
-
-    def _greedy_seed(self) -> None:
-        adj, bit = self.adj, self.bit
-        mask, size, cand = 0, 0, (1 << self.m) - 1
-        while cand:
-            v = cand.bit_length()
-            mask |= bit[v]
-            size += 1
-            cand &= adj[v]
-        self.best_size, self.best_mask = size, mask
 
     def _expand(self, r_mask: int, r_size: int, cand: int) -> None:
         self.nodes += 1
@@ -242,17 +236,17 @@ class _MaxClique:
             cand ^= b
 
     def solve(self) -> tuple[int, int, int, bool]:
-        """(size, witness mask with bit i = vertex i, nodes, exact)."""
+        """(size, witness mask, nodes, exact)."""
         if self.m == 0:
             return 0, 0, 0, True
-        self._greedy_seed()
+        self.best_mask = _greedy(self.adj, self.bit, (1 << self.m) - 1)
+        self.best_size = self.best_mask.bit_count()
         exact = True
         try:
             self._expand(0, 0, (1 << self.m) - 1)
         except SearchBudgetExceeded:
             exact = False
-        return (self.best_size, _reverse_bits(self.best_mask, self.m),
-                self.nodes, exact)
+        return self.best_size, self.best_mask, self.nodes, exact
 
 
 def _rectangle_levels_feasible(q: int, t1: int, t2: int) -> bool:
@@ -458,7 +452,7 @@ def extension_word(c: CodeSet, t1: int, t2: int,
     cand = graph.extensions(c.words)
     if cand == 0:
         return None
-    return graph.vertices[(cand & -cand).bit_length() - 1]
+    return graph.vertices[len(graph.vertices) - cand.bit_length()]
 
 
 def is_maximal(c: CodeSet, t1: int, t2: int,
@@ -475,12 +469,8 @@ def greedy_complete(c: CodeSet, t1: int, t2: int,
         raise ValueError("code does not verify its window")
     if graph is None:
         graph = build_graph(c.q, c.n, t1, t2)
-    cand = graph.extensions(c.words)
-    picked = 0
-    while cand:
-        low = cand & -cand
-        picked |= low
-        cand &= graph.adjacency[low.bit_length() - 1]
+    adj, bit, _ = graph._view
+    picked = _greedy(adj, bit, graph.extensions(c.words))
     return _trusted_code(c.q, c.n, c.words | graph.words(picked), (t1, t2))
 
 
@@ -496,9 +486,7 @@ def enumerate_maximal_codes(q: int, n: int, t1: int, t2: int, *,
     m = len(graph.vertices)
     if m == 0:
         return
-    # top-bit view (module docstring): names[v] is the word at bit v-1
-    adj, bit = _top_bit_view(graph.adjacency)
-    names = ("",) + graph.vertices[::-1]
+    adj, bit, _ = graph._view
 
     def bk(r: int, p: int, x: int) -> Iterator[int]:
         if p == 0 and x == 0:
@@ -522,12 +510,7 @@ def enumerate_maximal_codes(q: int, n: int, t1: int, t2: int, *,
             x |= b
 
     for mask in bk(0, (1 << m) - 1, 0):
-        words = set()
-        while mask:
-            v = mask.bit_length()
-            mask ^= bit[v]
-            words.add(names[v])
-        yield _trusted_code(q, n, words, (t1, t2))
+        yield _trusted_code(q, n, graph.words(mask), (t1, t2))
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,18 @@ def test_bounds_rejects_output_option_it_would_drop(tmp_path, capsys, window,
     assert captured.out == ""
 
 
+def test_families_validate_rejects_options_it_would_drop(tmp_path, capsys):
+    fam = tmp_path / "one.txt"
+    fam.write_text("q=2 k=1\nL1: 0\nR1: 1\n")
+    out = tmp_path / "x.txt"
+    rc = main(["families", "--validate", str(fam), "--q", "3", "--k", "2",
+               "--out", str(out), "--max-families", "5"])
+    assert rc == 2 and list(tmp_path.iterdir()) == [fam]
+    captured = capsys.readouterr()
+    assert "--q --k --out --max-families" in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
 @pytest.mark.parametrize("argv,complaint", [
     (["bounds", "--q", "99", "--n", "0", "--csv", "ART"], "alphabet size"),
     (["bounds", "--q", "1", "--n", "1", "--csv", "ART"], "alphabet size"),
@@ -278,6 +290,19 @@ def test_search_over_cap_exits_budget(tmp_path, capsys, t1, t2, complaint):
     assert rc == 3 and not out.exists()
     err = capsys.readouterr().err
     assert complaint in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("form", [["--t1", "1", "--t2", "2", "--json", "ART"],
+                                  ["--csv", "ART"]], ids=["window", "sweep"])
+def test_bounds_past_int_str_digits_exits_budget(tmp_path, monkeypatch,
+                                                 capsys, form):
+    # every rule value is at most 2^20000, which has over 4300 digits
+    monkeypatch.chdir(tmp_path)
+    assert main(["bounds", "--q", "2", "--n", "20000", *form]) == 3
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert "4300 digits" in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 def test_tables_csv(tmp_path):

@@ -11,7 +11,7 @@ from overlapcodes.constructions import lift_code, overlap_free_1k
 from overlapcodes.search import (SearchBudgetExceeded, _best_split,
                                  _classcount_feasible, _classcount_max,
                                  _MaxClique, _rectangle_levels_feasible,
-                                 _rectangle_max, _reverse_bits,
+                                 _rectangle_max,
                                  all_maximal_from_construction,
                                  binary_edge_check, build_graph,
                                  CompatibilityGraph,
@@ -22,6 +22,17 @@ from overlapcodes.words import (DIGITS, all_words, code, overlap_lengths,
                                 self_compatible, verify_overlap_free)
 
 
+def flip(x, m):
+    """x with bit i moved to bit m-1-i: a library mask, whose vertex i sits
+    at bit m-1-i, in the bit i = vertex i convention of the oracles here,
+    and back."""
+    return int(format(x, f"0{m}b")[::-1], 2)
+
+
+def flip_rows(adjacency):
+    return tuple(flip(a, len(adjacency)) for a in adjacency)
+
+
 def brute_max_size(q, n, t1, t2):
     """Independent exhaustive max-clique over candidate masks (tiny scale).
 
@@ -29,7 +40,7 @@ def brute_max_size(q, n, t1, t2):
     minus a greedy matching of such pairs bounds what cand can still add.
     """
     g = build_graph(q, n, t1, t2)
-    adj = g.adjacency
+    adj = flip_rows(g.adjacency)
     best = 0
 
     def bound(cand):
@@ -71,12 +82,15 @@ def test_adjacency_matches_overlap_oracle(q, n):
             g = build_graph(q, n, t1, t2)
             assert list(g.vertices) == [w for w in words
                                         if not clash[w, w] & window]
+            m = len(g.vertices)
+            adj = flip_rows(g.adjacency)
             for i, u in enumerate(g.vertices):
-                row = g.adjacency[i]
+                assert g.words(1 << (m - 1 - i)) == {u}
+                row = adj[i]
                 assert not row >> i & 1
                 for j, v in enumerate(g.vertices):
                     edge = bool(row >> j & 1)
-                    assert edge == bool(g.adjacency[j] >> i & 1)
+                    assert edge == bool(adj[j] >> i & 1)
                     if i != j:
                         assert edge == (not clash[u, v] & window), (u, v)
 
@@ -309,6 +323,47 @@ def test_greedy_complete_examples():
     assert len(sup) == 2 and "0011" in sup.words
 
 
+def scan_complete(c, t1, t2):
+    """The words a lexicographic scan adds to c, each kept when the code
+    still verifies: the greedy completion without masks."""
+    words = set(c.words)
+    added = []
+    for w in all_words(c.q, c.n):
+        if w not in words and verify_overlap_free(
+                code(c.q, c.n, words | {w}), t1, t2) is None:
+            words.add(w)
+            added.append(w)
+    return added
+
+
+SMALL_WINDOWS = [(q, n, t1, t2) for q, n_max in ((2, 6), (3, 4))
+                 for n in range(2, n_max + 1) for t1 in range(1, n)
+                 for t2 in range(t1, n)]
+
+
+def test_extension_and_greedy_completion_match_the_scan():
+    rng = random.Random(16)
+    for q, n, t1, t2 in SMALL_WINDOWS:
+        graph = build_graph(q, n, t1, t2)
+        for _ in range(4):
+            # a seeded starting code: a random order of the words, each kept
+            # while the code verifies, up to a random size
+            order = list(all_words(q, n))
+            rng.shuffle(order)
+            start, limit = set(), rng.randrange(4)
+            for w in order:
+                if len(start) < limit and verify_overlap_free(
+                        code(q, n, start | {w}), t1, t2) is None:
+                    start.add(w)
+            c = code(q, n, start)
+            added = scan_complete(c, t1, t2)
+            window = (q, n, t1, t2, sorted(start))
+            assert extension_word(c, t1, t2, graph) == \
+                (added[0] if added else None), window
+            assert greedy_complete(c, t1, t2, graph).words == \
+                start | set(added), window
+
+
 def test_enumerate_maximal_codes_small():
     codes = list(enumerate_maximal_codes(2, 4, 1, 3))
     assert all(is_maximal(c, 1, 3) for c in codes)
@@ -403,7 +458,8 @@ def test_all_maximal_codes_come_from_the_construction(q, n, k):
 
 def oracle_build_graph(q, n, t1, t2):
     """The graph build the level-derived masks replaced: every level t in
-    the window makes its own two passes over the vertices."""
+    the window makes its own two passes over the vertices.  Its rows have
+    bit i = vertex i."""
     verts = [w for w in all_words(q, n) if self_compatible(w, t1, t2)]
     conflict = [1 << i for i in range(len(verts))]
     for t in range(t1, t2 + 1):
@@ -421,26 +477,31 @@ def oracle_build_graph(q, n, t1, t2):
                               tuple(full ^ mask for mask in conflict))
 
 
+def low_bit(graph):
+    return CompatibilityGraph(graph.vertices, flip_rows(graph.adjacency))
+
+
 @pytest.mark.parametrize("q,n_max", [(2, 6), (3, 6), (4, 6), (5, 5)])
 def test_graph_matches_per_level_oracle_on_every_window(q, n_max):
     for n in range(2, n_max + 1):
         for t1 in range(1, n):
             for t2 in range(t1, n):
-                assert build_graph(q, n, t1, t2) == \
+                assert low_bit(build_graph(q, n, t1, t2)) == \
                     oracle_build_graph(q, n, t1, t2), (q, n, t1, t2)
 
 
 def test_graph_matches_per_level_oracle_on_the_wide_binary_window():
     # the sweep above holds the other wide-search window, (5, 5, 1, 4), and
     # the maximal workload's four graphs (3, 5, 1, 4) and (3, 6, 1, 3..5)
-    assert build_graph(2, 12, 2, 10) == oracle_build_graph(2, 12, 2, 10)
+    assert low_bit(build_graph(2, 12, 2, 10)) == \
+        oracle_build_graph(2, 12, 2, 10)
 
 
 # -- the clique engines against their bit i = vertex i oracles ---------------
 
 class LowBitMaxClique:
     """The colouring branch and bound on bit i = vertex i masks, each step
-    finding its vertex with mask & -mask: the engine the top-bit view
+    finding its vertex with mask & -mask: the engine the top-bit masks
     replaced, kept as the reference for node-for-node equality."""
 
     def __init__(self, adjacency, node_budget):
@@ -504,6 +565,13 @@ class LowBitMaxClique:
         return self.best_size, self.best_mask, self.nodes, exact
 
 
+def oracle_solve(adjacency, budget):
+    """LowBitMaxClique on library rows, its witness in the library's bits."""
+    size, mask, nodes, exact = LowBitMaxClique(flip_rows(adjacency),
+                                               budget).solve()
+    return size, flip(mask, len(adjacency)), nodes, exact
+
+
 def low_bit_maximal_cliques(adj):
     """Bron-Kerbosch with pivoting on bit i = vertex i masks, in the order
     enumerate_maximal_codes must reproduce."""
@@ -548,7 +616,7 @@ def test_clique_engine_matches_low_bit_oracle_on_desk_graphs(budget):
     for window in DESK_QUOTIENT_GRAPHS:
         adj = build_graph(*window).adjacency
         assert _MaxClique(adj, budget).solve() == \
-            LowBitMaxClique(adj, budget).solve(), window
+            oracle_solve(adj, budget), window
 
 
 def test_clique_engine_matches_low_bit_oracle_on_raw_graphs():
@@ -558,8 +626,7 @@ def test_clique_engine_matches_low_bit_oracle_on_raw_graphs():
                 adj = build_graph(q, n, t1, t2).adjacency
                 for budget in (20, 1000):
                     assert _MaxClique(adj, budget).solve() == \
-                        LowBitMaxClique(adj, budget).solve(), \
-                        (q, n, t1, t2, budget)
+                        oracle_solve(adj, budget), (q, n, t1, t2, budget)
 
 
 @pytest.mark.parametrize("q,n,k", [(3, 5, 4), (3, 6, 4), (3, 6, 5)])
@@ -567,8 +634,9 @@ def test_maximal_code_order_matches_low_bit_oracle(q, n, k):
     graph = build_graph(q, n, 1, k)
     got = [c.words for c in
            islice(enumerate_maximal_codes(q, n, 1, k, graph=graph), 300)]
-    want = [graph.words(mask) for mask in
-            islice(low_bit_maximal_cliques(graph.adjacency), 300)]
+    m = len(graph.vertices)
+    want = [graph.words(flip(mask, m)) for mask in
+            islice(low_bit_maximal_cliques(flip_rows(graph.adjacency)), 300)]
     assert len(got) == 300
     assert got == want
 
@@ -590,23 +658,12 @@ def random_graph(m, density, seed):
 def test_clique_engines_match_low_bit_oracles_on_random_graphs(
         m, density, seed, budget):
     adj = random_graph(m, density, seed)
-    assert _MaxClique(adj, budget).solve() == \
-        LowBitMaxClique(adj, budget).solve()
+    top = flip_rows(adj)
+    assert _MaxClique(top, budget).solve() == oracle_solve(top, budget)
     # any m distinct words of one length stand for the vertices
-    graph = CompatibilityGraph(tuple(f"{i:08b}" for i in range(m)), adj)
+    graph = CompatibilityGraph(tuple(f"{i:08b}" for i in range(m)), top)
     got = [c.words for c in
            islice(enumerate_maximal_codes(2, 8, 1, 1, graph=graph), 100)]
-    want = [graph.words(mask) for mask in
+    want = [graph.words(flip(mask, m)) for mask in
             islice(low_bit_maximal_cliques(adj), 100)]
     assert got == want
-
-
-@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 63, 64, 65, 624])
-def test_reverse_bits_moves_bit_i_to_m_minus_1_minus_i(m):
-    rng = random.Random(m)
-    for x in [0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(20))]:
-        want = int(format(x, f"0{m}b")[::-1], 2) if m else 0
-        assert _reverse_bits(x, m) == want
-        assert _reverse_bits(want, m) == x
-    for i in range(m):
-        assert _reverse_bits(1 << i, m) == 1 << (m - 1 - i)
