@@ -18,7 +18,6 @@ from .words import DIGITS, CodeSet
 class SymbolStream:
     symbols: str
     q: int
-    boundaries: tuple[int, ...] = ()  # codeword starts before corruption
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,7 @@ def encode_stream(c: CodeSet, message: Sequence[int]) -> SymbolStream:
         if not 0 <= idx < len(words):
             raise ValueError(f"codeword index {idx} out of range")
     symbols = "".join(words[idx] for idx in message)
-    return SymbolStream(symbols=symbols, q=c.q,
-                        boundaries=tuple(i * c.n for i in range(len(message))))
+    return SymbolStream(symbols=symbols, q=c.q)
 
 
 def corrupt(s: SymbolStream, spec: CorruptionSpec) -> SymbolStream:
@@ -78,8 +76,7 @@ def corrupt(s: SymbolStream, spec: CorruptionSpec) -> SymbolStream:
         symbols = s.symbols[:pos] + junk + s.symbols[pos:]
     else:
         raise ValueError(f"unknown corruption kind {spec.kind!r}")
-    kept = tuple(x for x in s.boundaries if x <= pos)
-    return SymbolStream(symbols=symbols, q=s.q, boundaries=kept)
+    return SymbolStream(symbols=symbols, q=s.q)
 
 
 def scan_decode(s: SymbolStream, c: CodeSet) -> list[DecodeEvent]:

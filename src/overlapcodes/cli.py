@@ -34,10 +34,10 @@ from .constructions import (KINDS, CodeTooLarge, ConstructionSpec,
                             DisjointnessViolation, claimed_windows,
                             run_construction, table_rows)
 from .families import enumerate_families
-from .fileio import (FormatError, RunManifest, format_code, format_family,
-                     read_code, read_family, sha256_digest, write_manifest)
-from .search import METHODS, max_code
-from .words import DIGITS, check_alphabet, verify_overlap_free
+from .fileio import (FormatError, format_code, format_family, read_code,
+                     read_family, sha256_digest)
+from .search import DEFAULT_NODE_BUDGET, METHODS, max_code
+from .words import DIGITS, CodeSet, check_alphabet, verify_overlap_free
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -64,14 +64,11 @@ def _emit(args: argparse.Namespace, path: str | None, chunks: Iterable[str],
         return
     with open(path, "w", newline="") as handle:
         handle.writelines(chunks)
-    write_manifest(RunManifest(
-        command=args.command,
-        parameters=parameters,
-        version=__version__,
-        seed=args.seed,
-        wall_time_s=round(time.time() - args.started, 3),
-        outputs={path: sha256_digest(path)},
-    ), path + ".manifest.json")
+    manifest = {"command": args.command, "parameters": parameters,
+                "version": __version__, "seed": args.seed,
+                "wall_time_s": round(time.time() - args.started, 3),
+                "outputs": {path: sha256_digest(path)}}
+    Path(path + ".manifest.json").write_text(_json(manifest))
 
 
 # construction_spec.v1.json: integer fields with their minimums, path fields
@@ -101,6 +98,14 @@ def _check_spec(data) -> None:
             raise ValueError(f"construct: {key!r} must be a path string")
 
 
+def _window_report(c: CodeSet, t1: int, t2: int) -> dict:
+    """{t1, t2, ok} for c on the window, with the witness when not ok."""
+    witness = verify_overlap_free(c, t1, t2)
+    if witness is None:
+        return {"t1": t1, "t2": t2, "ok": True}
+    return {"t1": t1, "t2": t2, "ok": False, "witness": asdict(witness)}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     spec_data = json.loads(Path(args.spec).read_text())
     _check_spec(spec_data)
@@ -115,17 +120,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                             base_code=base, k=spec_data.get("k"),
                             t1=spec_data.get("t1"), t2=spec_data.get("t2"))
     result = run_construction(spec, strict=args.strict)
-    windows = claimed_windows(spec)
-    verification = []
-    ok = True
-    for t1, t2 in windows:
-        witness = verify_overlap_free(result, t1, t2)
-        if witness is None:
-            verification.append({"t1": t1, "t2": t2, "ok": True})
-        else:
-            ok = False
-            verification.append({"t1": t1, "t2": t2, "ok": False,
-                                 "witness": asdict(witness)})
+    verification = [_window_report(result, t1, t2)
+                    for t1, t2 in claimed_windows(spec)]
+    ok = all(record["ok"] for record in verification)
     report = {
         "kind": kind,
         "q": result.q,
@@ -143,16 +140,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     c = read_code(args.code)
-    witness = verify_overlap_free(c, args.t1, args.t2)
-    payload = {
-        "q": c.q, "n": c.n, "size": len(c.words),
-        "t1": args.t1, "t2": args.t2,
-        "ok": witness is None,
-    }
-    if witness is not None:
-        payload["witness"] = asdict(witness)
+    payload = {"q": c.q, "n": c.n, "size": len(c.words),
+               **_window_report(c, args.t1, args.t2)}
     sys.stdout.write(_json(payload))
-    return EXIT_OK if witness is None else EXIT_VERIFICATION
+    return EXIT_OK if payload["ok"] else EXIT_VERIFICATION
 
 
 def _report_payload(q: int, n: int, t1: int, t2: int) -> dict:
@@ -265,6 +256,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_edits(edits_data)
     message = edits_data["message"]
     t1, t2 = edits_data["window"]
+    if args.exhaustive and not message:
+        raise ValueError("simulate: --exhaustive needs a non-empty 'message'")
+    if args.exhaustive and edits_data.get("edits"):
+        raise ValueError("simulate: 'edits' not used with --exhaustive")
     witness = verify_overlap_free(c, t1, t2)
     if witness is not None:
         sys.stderr.write(f"simulate: code fails its window: {witness}\n")
@@ -391,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t1", type=int, required=True)
     p.add_argument("--t2", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2_000_000,
-                   help="node-expansion budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="node-expansion budget (default %(default)s)")
     p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_search)

@@ -89,8 +89,10 @@ def _check_terms(f: PartitionFamily, n: int, t1: int, t2: int,
 
 def _t1t2_terms(f: PartitionFamily, n: int, t1: int, t2: int,
                 ) -> Iterator[tuple[frozenset[str], ...]]:
-    """The terms of the (1, t2) code of length n - pad, each followed by pad
-    free symbols, for pad in [0, t1-1]; t1 = 1 gives the (1, t2) code."""
+    """For pad in [0, t1-1], the terms of the (1, t2) code of length n - pad
+    whose central block ``L_j R_{s-j}`` has s in [t1 + t2 - pad, n - pad],
+    each followed by pad free symbols.  Only pad = t1-1 starts at s = t2 + 1
+    and takes the whole (1, t2) code; t1 = 1 gives that code alone."""
     left = (None, *(l for l, _ in f.levels))  # left[i] = L_i
     right = (None, *(r for _, r in f.levels))
     for pad in range(0, t1):
@@ -281,7 +283,8 @@ def simultaneous(f: PartitionFamily, n: int, k: int, *,
 def simultaneous_size(f: PartitionFamily, n: int, k: int) -> int:
     _check_simultaneous(f, n, k, "simultaneous_size")
     base = non_overlapping_size(f, k + 1)
-    tails = sum(prod(len(f.right(a)) for a in alpha) for alpha in compositions(k))
+    right = [0, *(len(r) for _, r in f.levels)]  # right[a] = |R_a|
+    tails = _composition_weights(right, k)[k]
     return base * f.q ** (n - 2 * k - 1) * tails
 
 

@@ -1,4 +1,4 @@
-r"""Flat-file formats: code files, family files, and run manifests.
+r"""Flat-file formats: code files and family files.
 
 Code file: a ``q=<int> n=<int>`` header, then words separated by whitespace
 (``format_code`` writes one per line).
@@ -14,9 +14,7 @@ system through a file.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .families import PartitionFamily, checked, family
@@ -123,11 +121,8 @@ def read_family(path: str | Path) -> PartitionFamily:
     return parse_family(Path(path).read_text(), str(path))
 
 
-def format_family(f: PartitionFamily, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.extend(f"# {row}" for row in comment.splitlines())
-    lines.append(f"q={f.q} k={f.depth}")
+def format_family(f: PartitionFamily) -> str:
+    lines = [f"q={f.q} k={f.depth}"]
     for i in range(1, f.depth + 1):
         lines.append(f"L{i}: " + " ".join(sorted(f.left(i))) if f.left(i)
                      else f"L{i}:")
@@ -136,9 +131,8 @@ def format_family(f: PartitionFamily, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_family(f: PartitionFamily, path: str | Path,
-                 comment: str | None = None) -> None:
-    Path(path).write_text(format_family(f, comment))
+def write_family(f: PartitionFamily, path: str | Path) -> None:
+    Path(path).write_text(format_family(f))
 
 
 def sha256_digest(path: str | Path) -> str:
@@ -148,18 +142,3 @@ def sha256_digest(path: str | Path) -> str:
         for block in iter(lambda: handle.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict
-    version: str
-    seed: int | None
-    wall_time_s: float
-    outputs: dict[str, str]  # path -> sha256
-
-
-def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True)
-                          + "\n")

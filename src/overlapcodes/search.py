@@ -55,7 +55,7 @@ from .families import PartitionFamily, checked, family_from_code
 from .words import (CodeSet, _trusted_code, all_words, check_alphabet,
                     check_window, prefix_suffix_levels, verify_overlap_free)
 
-DEFAULT_NODE_BUDGET = 20_000_000
+DEFAULT_NODE_BUDGET = 2_000_000
 VERTEX_CAP = 1 << 20
 _RECTANGLE_ASSIGNMENT_CAP = 1 << 13
 _RECTANGLE_SIDE_CAP = 1 << 12
@@ -67,16 +67,10 @@ class SearchBudgetExceeded(Exception):
     """Internal: node budget ran out mid-search."""
 
 
-def _top_bit_view(adjacency: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """The adj and bit = 1 << (v-1) tables indexed by v = m-i for vertex i
-    (module docstring); index 0 is unused."""
-    bit = [0] + [1 << j for j in range(len(adjacency))]
-    return [0, *reversed(adjacency)], bit
-
-
 def _greedy(adj: list[int], bit: list[int], cand: int) -> int:
     """The clique that takes the lowest-numbered vertex of cand, keeps its
-    neighbours in cand, and repeats; adj and bit as ``_top_bit_view``."""
+    neighbours in cand, and repeats; adj and bit as
+    ``CompatibilityGraph._view``."""
     mask = 0
     while cand:
         v = cand.bit_length()
@@ -110,8 +104,10 @@ class CompatibilityGraph:
 
     @cached_property
     def _view(self) -> tuple[list[int], list[int], tuple[str, ...]]:
-        """The ``_top_bit_view`` tables and the word names[v] of each v."""
-        return (*_top_bit_view(self.adjacency),
+        """The adj, bit = 1 << (v-1) and word names tables indexed by
+        v = m-i for vertex i (module docstring); index 0 is unused."""
+        bit = [0] + [1 << j for j in range(len(self.vertices))]
+        return ([0, *reversed(self.adjacency)], bit,
                 ("", *reversed(self.vertices)))
 
     def extensions(self, words: Iterable[str]) -> int:
@@ -183,9 +179,9 @@ class _MaxClique:
     Each step of the colouring walk finds the lowest-numbered vertex of its
     mask with one bit_length() (module docstring)."""
 
-    def __init__(self, adjacency: tuple[int, ...], node_budget: int):
-        self.m = len(adjacency)
-        self.adj, self.bit = _top_bit_view(adjacency)
+    def __init__(self, graph: CompatibilityGraph, node_budget: int):
+        self.m = len(graph.vertices)
+        self.adj, self.bit, _ = graph._view
         full = (1 << self.m) - 1
         self.non_adj = [full ^ a ^ b for a, b in zip(self.adj, self.bit)]
         self.budget = node_budget
@@ -259,14 +255,13 @@ def _rectangle_levels_feasible(q: int, t1: int, t2: int) -> bool:
 
 
 def _best_split(u: int, shared: int, v: int) -> tuple[int, int]:
-    """Maximize (u + j) * (v + shared - j) over j in [0, shared]."""
-    best_j, best_val = 0, u * (v + shared)
-    for j in {0, shared, max(0, min(shared, (v + shared - u) // 2)),
-              max(0, min(shared, (v + shared - u + 1) // 2))}:
-        val = (u + j) * (v + shared - j)
-        if val > best_val or (val == best_val and j < best_j):
-            best_j, best_val = j, val
-    return best_j, best_val
+    """The first j in [0, shared] maximizing f(j) = (u + j) * (v + shared - j),
+    and f(j).  With d = v + shared - u, f(j+1) - f(j) = d - 1 - 2j is > 0 for
+    j < (d-1)/2, 0 only at j = (d-1)/2 (d odd) and < 0 after, so d // 2 is
+    the first maximizer over the integers; f is concave, so d // 2 clamped
+    into [0, shared] is the first maximizer over [0, shared]."""
+    j = max(0, min(shared, (v + shared - u) // 2))
+    return j, (u + j) * (v + shared - j)
 
 
 def _rectangle_max(q: int, t1: int, t2: int) -> tuple[int, list[str], list[str]]:
@@ -427,8 +422,7 @@ def max_code(q: int, n: int, t1: int, t2: int, *,
             base_n = min(n, 2 * t2)
         used = "raw" if method == "raw" else "quotient"
         graph = build_graph(q, base_n, t1, t2)
-        value, mask, nodes, exact = _MaxClique(graph.adjacency,
-                                               node_budget).solve()
+        value, mask, nodes, exact = _MaxClique(graph, node_budget).solve()
         terms = _lift_terms(graph.words(mask), t2, n - base_n, q)
     size = value * q ** (n - base_n)
     witness = _materialize(terms, q=q, n=n, window=(t1, t2), strict=True,

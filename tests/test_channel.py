@@ -12,7 +12,6 @@ def test_encode_examples():
     c = code(2, 4, {"0001", "0011"})
     s = encode_stream(c, [0, 1, 0])
     assert s.symbols == "000100110001"
-    assert s.boundaries == (0, 4, 8)
     assert encode_stream(c, []).symbols == ""
     s = encode_stream(code(3, 4, {"0212"}), [0, 0])
     assert s.symbols == "02120212"
@@ -55,6 +54,17 @@ def test_corrupt_rejects_bad_bursts():
     s3 = encode_stream(code(3, 4, {"0012"}), [0])
     assert corrupt(s3, CorruptionSpec("insert", 4, 1,
                                       inserted="2")).symbols == "00122"
+
+
+@pytest.mark.parametrize("position,inserted,complaint", [
+    (5, None, "insertion position out of range"),
+    (-1, None, "insertion position out of range"),
+    (1, "01", "inserted symbols must match the burst length"),
+])
+def test_corrupt_rejects_bad_insertions(position, inserted, complaint):
+    s = encode_stream(code(2, 4, {"0001"}), [0])
+    with pytest.raises(ValueError, match=f"^{complaint}$"):
+        corrupt(s, CorruptionSpec("insert", position, 1, inserted=inserted))
 
 
 def test_clean_stream_decodes_without_desync():

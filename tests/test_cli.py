@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,6 +132,15 @@ def test_construct_spec_enforces_minimums(tmp_path, family_file, capsys,
     # the same spec breaks the schema the CLI mirrors
     with pytest.raises(Exception):
         schema_validate(spec, load_schema("construction_spec.v1.json"))
+
+
+@pytest.mark.parametrize("key", SPEC_PATHS)
+def test_construct_spec_rejects_non_string_path(tmp_path, capsys, key):
+    rc, out = run_spec(tmp_path, {"kind": "OneK", "n": 4, "k": 2, key: 3})
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert f"'{key}' must be a path string" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_construct_spec_check_mirrors_schema():
@@ -389,6 +401,40 @@ def test_simulate_rejects_malformed_edits(tmp_path, capsys, edits, complaint):
     assert complaint in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("edits,complaint", [
+    ({"message": [], "window": [1, 2]}, "non-empty 'message'"),
+    ({"message": [0, 1], "window": [1, 2],
+      "edits": [{"kind": "delete", "position": 0, "burst_length": 1}]},
+     "'edits' not used with --exhaustive"),
+])
+def test_simulate_exhaustive_rejects_edits_it_cannot_sweep(
+        tmp_path, capsys, edits, complaint):
+    code_path = tmp_path / "code.txt"
+    write_code(code(2, 4, {"0001", "0011"}), code_path)
+    edits_path = tmp_path / "edits.json"
+    edits_path.write_text(json.dumps(edits))
+    out, hist = tmp_path / "ev.json", tmp_path / "hist.csv"
+    rc = main(["simulate", "--code", str(code_path), "--edits",
+               str(edits_path), "--exhaustive", "--json", str(out),
+               "--hist", str(hist)])
+    assert rc == 2 and not out.exists() and not hist.exists()
+    err = capsys.readouterr().err
+    assert complaint in err and len(err.splitlines()) == 1
+
+
+def test_simulate_rejects_code_that_fails_its_window(tmp_path, capsys):
+    code_path = tmp_path / "code.txt"
+    write_code(code(2, 4, {"0010", "0011"}), code_path)  # 0...0 at t = 1
+    edits_path = tmp_path / "edits.json"
+    edits_path.write_text(json.dumps({"message": [0, 1], "window": [1, 2]}))
+    out = tmp_path / "ev.json"
+    rc = main(["simulate", "--code", str(code_path), "--edits",
+               str(edits_path), "--json", str(out)])
+    assert rc == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert "code fails its window" in err and len(err.splitlines()) == 1
+
+
 def test_construct_report_goes_to_stdout_without_report_path(
         tmp_path, family_file, capsys):
     spec_path = tmp_path / "spec.json"
@@ -414,6 +460,16 @@ def test_families_enumerate_and_validate(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("q=2 k=1\nL1:\nR1: 0 1\n")
     assert main(["families", "--validate", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("given", [[], ["--q", "2"], ["--k", "2"]])
+def test_families_needs_q_and_k(tmp_path, capsys, given):
+    out = tmp_path / "fams.txt"
+    assert main(["families", *given, "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "give --q and --k" in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 def test_families_budget_exit_code(tmp_path):
@@ -531,3 +587,14 @@ def test_search_classcount_method(tmp_path):
     schema_validate(payload, load_schema("search_result.v1.json"))
     assert payload["method"] == "classcount" and payload["exact"]
     assert payload["size"] == len(payload["witness"])
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run(
+        [sys.executable, "-m", "overlapcodes", "search", "--q", "2", "--n",
+         "4", "--t1", "1", "--t2", "2"],
+        cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["size"] == 2

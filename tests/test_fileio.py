@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from overlapcodes.families import (balanced_family, checked,
                                    enumerate_families, family)
-from overlapcodes.fileio import (FormatError, RunManifest, _split_header,
+from overlapcodes.fileio import (FormatError, _split_header,
                                  format_code, format_family, parse_code,
                                  parse_family,
-                                 read_code, read_family, sha256_digest,
-                                 write_code, write_family, write_manifest)
+                                 read_code, read_family,
+                                 write_code, write_family)
 from overlapcodes.words import all_words, code
 
 
@@ -84,6 +84,15 @@ def test_family_parser_validates():
         parse_family("q=2 k=1\nL3: 0\n")
 
 
+@pytest.mark.parametrize("text,complaint", [
+    ("# a comment only\n\n", "f.txt: missing header line"),
+    ("q=2 k=0\n", "f.txt: depth must be >= 1"),
+])
+def test_family_parse_rejects_missing_header_and_depth(text, complaint):
+    with pytest.raises(FormatError, match=f"^{complaint}$"):
+        parse_family(text, "f.txt")
+
+
 def test_family_depth_costs_nothing_past_its_levels():
     # level 2 is empty, so a depth of 10^9 fails there without being built
     started = time.perf_counter()
@@ -95,22 +104,6 @@ def test_family_depth_costs_nothing_past_its_levels():
 def test_every_enumerated_family_survives_round_trip():
     for f in enumerate_families(3, 2):
         assert parse_family(format_family(f)).levels == f.levels
-
-
-def test_manifest_and_digest(tmp_path):
-    target = tmp_path / "out.txt"
-    target.write_text("payload")
-    digest = sha256_digest(target)
-    manifest = RunManifest(command="verify", parameters={"x": 1},
-                           version="0.1.0", seed=None, wall_time_s=0.1,
-                           outputs={str(target): digest})
-    mpath = tmp_path / "out.txt.manifest.json"
-    write_manifest(manifest, mpath)
-    import json
-
-    data = json.loads(mpath.read_text())
-    assert data["outputs"][str(target)] == digest
-    assert data["command"] == "verify"
 
 
 # Line-by-line parsers: the reference for the one-pass comment rule.

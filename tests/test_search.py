@@ -185,6 +185,19 @@ def test_free_middle_window_answers_without_the_full_graph():
     assert verify_overlap_free(r.code, 1, 3) is None
 
 
+def brute_split(u, shared, v):
+    """The first j in [0, shared] maximizing (u + j) * (v + shared - j), and
+    that value, by trying every j."""
+    vals = [(u + j) * (v + shared - j) for j in range(shared + 1)]
+    j = vals.index(max(vals))
+    return j, vals[j]
+
+
+def test_best_split_matches_brute_force():
+    for u, shared, v in product(range(13), repeat=3):
+        assert _best_split(u, shared, v) == brute_split(u, shared, v)
+
+
 def dict_walk_rectangle_max(q, t1, t2):
     """The rectangle value and sides by the walk the mask tables replaced:
     a dict of claimed strings, every side word re-classified at each leaf."""
@@ -205,7 +218,7 @@ def dict_walk_rectangle_max(q, t1, t2):
                 u_only.append(x)
             elif in_v:
                 v_only.append(x)
-        j, val = _best_split(len(u_only), len(shared), len(v_only))
+        j, val = brute_split(len(u_only), len(shared), len(v_only))
         if val > best[0]:
             p_side = sorted(u_only) + sorted(shared)[:j]
             s_side = sorted(v_only) + sorted(shared)[j:]
@@ -614,19 +627,20 @@ DESK_QUOTIENT_GRAPHS = [
 def test_clique_engine_matches_low_bit_oracle_on_desk_graphs(budget):
     assert len(DESK_QUOTIENT_GRAPHS) == 37
     for window in DESK_QUOTIENT_GRAPHS:
-        adj = build_graph(*window).adjacency
-        assert _MaxClique(adj, budget).solve() == \
-            oracle_solve(adj, budget), window
+        graph = build_graph(*window)
+        assert _MaxClique(graph, budget).solve() == \
+            oracle_solve(graph.adjacency, budget), window
 
 
 def test_clique_engine_matches_low_bit_oracle_on_raw_graphs():
     for q, n in product((2, 3), range(2, 6)):
         for t1 in range(1, n):
             for t2 in range(t1, n):
-                adj = build_graph(q, n, t1, t2).adjacency
+                graph = build_graph(q, n, t1, t2)
                 for budget in (20, 1000):
-                    assert _MaxClique(adj, budget).solve() == \
-                        oracle_solve(adj, budget), (q, n, t1, t2, budget)
+                    assert _MaxClique(graph, budget).solve() == \
+                        oracle_solve(graph.adjacency, budget), \
+                        (q, n, t1, t2, budget)
 
 
 @pytest.mark.parametrize("q,n,k", [(3, 5, 4), (3, 6, 4), (3, 6, 5)])
@@ -659,9 +673,9 @@ def test_clique_engines_match_low_bit_oracles_on_random_graphs(
         m, density, seed, budget):
     adj = random_graph(m, density, seed)
     top = flip_rows(adj)
-    assert _MaxClique(top, budget).solve() == oracle_solve(top, budget)
     # any m distinct words of one length stand for the vertices
     graph = CompatibilityGraph(tuple(f"{i:08b}" for i in range(m)), top)
+    assert _MaxClique(graph, budget).solve() == oracle_solve(top, budget)
     got = [c.words for c in
            islice(enumerate_maximal_codes(2, 8, 1, 1, graph=graph), 100)]
     want = [graph.words(flip(mask, m)) for mask in
