@@ -10,8 +10,8 @@ One generator, ``_t1t2_terms``, yields the layered terms; the (1, k) code is
 its t1 = 1 case and the non-overlapping code is the (1, n-1) code.  Each
 size formula is an independent oracle that shares its builder's argument
 checks.  ``KINDS`` gives each spec kind its fields, builder and windows.
-``table_rows`` builds the expansion tables from the size formulas alone,
-over ``families.count_vectors``; no search runs.
+``table_rows`` runs the (1, k) size kernel ``_size_1k`` on the level counts
+of ``families.count_vectors``; it builds no family and runs no search.
 
 Every derived word set, ``lift_code`` and the ``search.max_code`` witnesses
 included, is a list of terms filled by ``_materialize``, which raises
@@ -119,8 +119,9 @@ def non_overlapping(f: PartitionFamily, n: int, *,
 
 
 def non_overlapping_size(f: PartitionFamily, n: int) -> int:
-    _check_terms(f, n, 1, n - 1, "non_overlapping_size")
-    return sum(len(f.left(i)) * len(f.right(n - i)) for i in range(1, n))
+    if n < 2:
+        raise ValueError("block length must be >= 2")
+    return code_size_1k(f, n, n - 1)
 
 
 def overlap_free_1k(f: PartitionFamily, n: int, k: int, *,
@@ -143,7 +144,14 @@ def _composition_weights(sizes: Sequence[int], m: int) -> list[int]:
 
 
 def code_size_1k(f: PartitionFamily, n: int, k: int) -> int:
-    """Size of overlap_free_1k, without listing its terms.
+    """Size of overlap_free_1k, without listing its terms."""
+    _check_terms(f, n, 1, k, "code_size_1k")
+    return _size_1k([0, *(len(l) for l, _ in f.levels)],
+                    [0, *(len(r) for _, r in f.levels)], n, k)
+
+
+def _size_1k(left: Sequence[int], right: Sequence[int], n: int, k: int) -> int:
+    """``code_size_1k`` from the counts left[a] = |L_a|, right[a] = |R_a|.
 
     The terms are disjoint, so the size is the sum of their products.  A
     term is a block ``L_j R_{s-j}`` (s in [k+1, n], j in [s-k, k]) inside a
@@ -157,9 +165,6 @@ def code_size_1k(f: PartitionFamily, n: int, k: int) -> int:
 
         sum_s (sum_j |L_j| |R_{s-j}|) * sum_{m <= n-s} A[m] B[n-s-m].
     """
-    _check_terms(f, n, 1, k, "code_size_1k")
-    left = [0, *(len(l) for l, _ in f.levels)]  # left[a] = |L_a|
-    right = [0, *(len(r) for _, r in f.levels)]
     a = _composition_weights(left, n - k - 1)
     b = _composition_weights(right, n - k - 1)
     return sum(sum(left[j] * right[s - j] for j in range(s - k, k + 1))
@@ -179,9 +184,9 @@ def table_rows(which: str, q: int, n_max: int) -> Iterator[dict]:
     Every maximal (1, k)-overlap-free code of length m with k >= m/2 is the
     layered code on the family derived from its prefixes.  A base code is
     the case k = m-1 >= m/2, m >= 2 (Blackburn 2015), so base_max is the
-    largest ``non_overlapping_size`` over the depth-(m-1) level-count
-    vectors; families_at_max counts the families reaching it and value is
-    their largest ``code_size_1k``.
+    largest non-overlapping size over the depth-(m-1) level-count vectors;
+    families_at_max counts the families reaching it and value is their
+    largest (1, k) size.
     """
     check_alphabet(q)  # before the first row, even when there is none
     if which == "table1":
@@ -193,13 +198,13 @@ def table_rows(which: str, q: int, n_max: int) -> Iterator[dict]:
     for n in range(n_lo, n_max + 1):
         k = n - gap - 1  # the base codes have length k + 1
         base_max, families, best = 0, 0, 0
-        for f, shared in count_vectors(q, k):
-            size = non_overlapping_size(f, k + 1)
+        for left, right, shared in count_vectors(q, k):
+            size = _size_1k(left, right, k + 1, k)
             if size > base_max:
                 base_max, families, best = size, 0, 0
             if size == base_max:
                 families += shared
-                best = max(best, code_size_1k(f, n, k))
+                best = max(best, _size_1k(left, right, n, k))
         yield {"n": n, "base_max": base_max, "families_at_max": families,
                "value": best, "bold": best > q ** gap * base_max}
 
@@ -282,7 +287,7 @@ def simultaneous(f: PartitionFamily, n: int, k: int, *,
 
 def simultaneous_size(f: PartitionFamily, n: int, k: int) -> int:
     _check_simultaneous(f, n, k, "simultaneous_size")
-    base = non_overlapping_size(f, k + 1)
+    base = code_size_1k(f, k + 1, k)
     right = [0, *(len(r) for _, r in f.levels)]  # right[a] = |R_a|
     tails = _composition_weights(right, k)[k]
     return base * f.q ** (n - 2 * k - 1) * tails

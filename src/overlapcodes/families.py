@@ -5,26 +5,23 @@ splits the alphabet into two non-empty parts; level i >= 2 splits the
 concatenation layer ``union(L_j R_{i-j} for j in [1, i-1])``.  Families
 generate every code construction in this package.
 
-One level walker, ``_walk``, serves both enumerations: it fills levels left
-to right, computes each next level's sorted ground set once per parent, and
-builds the families of the last level directly.  ``enumerate_families``
-gives it every split of a ground set, read from a table of the ground's
-subsets built by doubling (binary-counter order, the complement of entry b
-is entry full ^ b), so sibling families share their level sets.  No table
-holds more than 2^SUBSET_TABLE_BITS subsets: a wider ground pairs the table
-with the splits of its remaining words, enumerated lazily.
+``enumerate_families`` fills levels left to right, computing each next
+level's sorted ground set once per parent.  Each split of a ground set is
+read from a table of the ground's subsets built by doubling (binary-counter
+order, the complement of entry b is entry full ^ b).  No table holds more
+than 2^SUBSET_TABLE_BITS subsets: a wider ground pairs the table with the
+splits of its remaining words, enumerated lazily.
 
-``count_vectors`` gives the walker one split per level count instead, so it
-walks level-count vectors in place of families: every size formula reads
-only the counts |L_i|, so one family stands for each vector.
+``count_vectors`` walks level-count vectors as integer lists and builds no
+family: every size formula reads only the counts |L_i| and |R_i|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, prod
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from math import comb
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .words import DIGITS, CodeSet, _overlap_scan, check_alphabet, check_word
 
@@ -144,32 +141,6 @@ def _subset_splits(ground: list[str]) -> Iterable[Pair]:
             for l, r in pairs)
 
 
-def _prefix_splits(ground: list[str]) -> Iterator[Pair]:
-    """(first m words, the rest) for m = 0 .. len(ground)."""
-    return ((frozenset(ground[:m]), frozenset(ground[m:]))
-            for m in range(len(ground) + 1))
-
-
-def _walk(q: int, k: int, splits: Callable[[list[str]], Iterable[Pair]],
-          ) -> Iterator[PartitionFamily]:
-    """The depth-k families whose level i runs through ``splits`` of its
-    sorted ground set, levels filled left to right.  Level 1 splits the
-    alphabet into two non-empty parts."""
-
-    def extend(levels: tuple, pairs: Iterable[Pair]) -> Iterator[PartitionFamily]:
-        if len(levels) + 1 == k:
-            for pair in pairs:
-                yield PartitionFamily(q, levels + (pair,))
-            return
-        for pair in pairs:
-            grown = levels + (pair,)
-            ground = concat_layer(PartitionFamily(q, grown), len(grown) + 1)
-            yield from extend(grown, splits(sorted(ground)))
-
-    return extend((), (pair for pair in splits(sorted(DIGITS[:q]))
-                       if pair[0] and pair[1]))
-
-
 def _check_depth(q: int, k: int) -> None:
     check_alphabet(q)
     if k < 1:
@@ -185,18 +156,41 @@ def enumerate_families(q: int, k: int) -> Iterator[PartitionFamily]:
     share their level sets.
     """
     _check_depth(q, k)
-    return _walk(q, k, _subset_splits)
+
+    def extend(levels: tuple, pairs: Iterable[Pair]) -> Iterator[PartitionFamily]:
+        if len(levels) + 1 == k:
+            for pair in pairs:
+                yield PartitionFamily(q, levels + (pair,))
+            return
+        for pair in pairs:
+            grown = levels + (pair,)
+            ground = concat_layer(PartitionFamily(q, grown), len(grown) + 1)
+            yield from extend(grown, _subset_splits(sorted(ground)))
+
+    return extend((), (pair for pair in _subset_splits(sorted(DIGITS[:q]))
+                       if pair[0] and pair[1]))
 
 
-def count_vectors(q: int, k: int) -> Iterator[tuple[PartitionFamily, int]]:
-    """(family, shared) for each level-count vector (|L_1|, ..., |L_k|) of
-    the valid depth-k families.  Level i splits g_i = sum_j |L_j| |R_{i-j}|
-    words (g_1 = q, 1 <= |L_1| <= q-1), so shared = prod_i C(g_i, |L_i|)
-    families have the vector; the family given takes the first |L_i| words
-    of each sorted ground set."""
+def count_vectors(q: int, k: int) -> Iterator[tuple[list[int], list[int], int]]:
+    """(left, right, shared) per level-count vector of the valid depth-k
+    families, in lexicographic order: left[i] = |L_i|, right[i] = |R_i|
+    and left[0] = right[0] = 0.  Level i splits g_i = sum_{j<i} |L_j|
+    |R_{i-j}| words (g_1 = q, 1 <= |L_1| <= q-1), so shared = prod_i
+    C(g_i, |L_i|) families have the vector (``test_count_vectors_*``)."""
     _check_depth(q, k)
-    return ((f, prod(comb(len(l) + len(r), len(l)) for l, r in f.levels))
-            for f in _walk(q, k, _prefix_splits))
+
+    def extend(left: list[int], right: list[int], shared: int,
+               ) -> Iterator[tuple[list[int], list[int], int]]:
+        i = len(left)
+        if i > k:
+            yield left, right, shared
+            return
+        g = sum(left[j] * right[i - j] for j in range(1, i))
+        for m in range(g + 1):
+            yield from extend(left + [m], right + [g - m], shared * comb(g, m))
+
+    return (vector for m in range(1, q)
+            for vector in extend([0, m], [0, q - m], comb(q, m)))
 
 
 Side = Literal["R_empty", "L_empty"]

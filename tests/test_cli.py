@@ -304,6 +304,15 @@ def test_search_over_cap_exits_budget(tmp_path, capsys, t1, t2, complaint):
     assert complaint in err and len(err.splitlines()) == 1
 
 
+def test_search_forced_method_error_exits_usage(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    rc = main(["search", "--q", "2", "--n", "4", "--t1", "1", "--t2", "3",
+               "--method", "rectangle", "--json", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: rectangle method requires n >= 2*t2 and small levels\n")
+
+
 @pytest.mark.parametrize("form", [["--t1", "1", "--t2", "2", "--json", "ART"],
                                   ["--csv", "ART"]], ids=["window", "sweep"])
 def test_bounds_past_int_str_digits_exits_budget(tmp_path, monkeypatch,

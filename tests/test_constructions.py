@@ -43,6 +43,13 @@ class TestNonOverlapping:
         with pytest.raises(ValueError):
             non_overlapping(family(2, [({"0"}, {"1"})]), 4)
 
+    def test_length_one_rejected_alike(self):
+        f = family(2, [({"0"}, {"1"})])
+        for build in (non_overlapping, non_overlapping_size):
+            with pytest.raises(ValueError,
+                               match=r"^block length must be >= 2$"):
+                build(f, 1)
+
 
 class TestOneK:
     def test_binary_example(self):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlapcodes import families
-from overlapcodes.constructions import code_size_1k, non_overlapping_size
+from overlapcodes.constructions import (_size_1k, code_size_1k,
+                                        non_overlapping_size)
 from overlapcodes.families import (PartitionFamily, balanced_family, checked,
                                    compositions, concat_layer, count_vectors,
                                    decompose, enumerate_families, family,
@@ -351,15 +352,34 @@ def _sizes(f, k):
 def test_count_vectors_match_enumeration_groups(q, k):
     groups = {}
     for f in enumerate_families(q, k):
-        vector = tuple(len(f.left(i)) for i in range(1, k + 1))
+        vector = ((0, *(len(l) for l, _ in f.levels)),
+                  (0, *(len(r) for _, r in f.levels)))
         groups.setdefault(vector, []).append(_sizes(f, k))
     walked = {}
-    for f, shared in count_vectors(q, k):
-        assert validate(f) is None
-        vector = tuple(len(f.left(i)) for i in range(1, k + 1))
+    for left, right, shared in count_vectors(q, k):
+        vector = (tuple(left), tuple(right))
         assert vector not in walked
-        walked[vector] = (shared, _sizes(f, k))
+        walked[vector] = (shared, (_size_1k(left, right, k + 1, k),
+                                   *(_size_1k(left, right, n, k)
+                                     for n in range(k + 1, 2 * k + 2))))
+    assert list(walked) == sorted(walked)
     assert walked.keys() == groups.keys()
     for vector, (shared, sizes) in walked.items():
         assert shared == len(groups[vector])
         assert set(groups[vector]) == {sizes}
+
+
+# vector counts and share sums of the word-set walk that built one
+# representative family per vector; these depths are too deep to enumerate
+@pytest.mark.parametrize("q,k,vectors,shares", [
+    (3, 5, 1_816, 120_569_688),
+    (4, 5, 83_963, 17_756_571_962_415_870_152_841_860_928),
+    (3, 6, 47_826, 149_830_114_721_388_120),
+    (2, 10, 385_312, 384_361_688_416_176),
+])
+def test_count_vectors_pinned_past_enumeration(q, k, vectors, shares):
+    count = total = 0
+    for _, _, shared in count_vectors(q, k):
+        count += 1
+        total += shared
+    assert (count, total) == (vectors, shares)

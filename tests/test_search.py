@@ -428,6 +428,18 @@ def test_maximality_certificate_inconclusive_binary_only():
     assert "inconclusive" in seen
 
 
+@pytest.mark.parametrize("method,complaint", [
+    ("rectangle", "rectangle method requires n >= 2*t2 and small levels"),
+    ("classcount", "classcount method requires t1 == t2, n < 2*t2, and "
+                   "small key classes"),
+    ("bogus", "unknown search method 'bogus'"),
+])
+def test_forced_method_outside_its_range_is_refused(method, complaint):
+    with pytest.raises(ValueError) as exc:
+        max_code(2, 4, 1, 3, method=method)
+    assert str(exc.value) == complaint
+
+
 def test_maximality_certificate_requires_wide_window():
     with pytest.raises(ValueError):
         maximality_certificate(family(2, [({"0"}, {"1"})]), 4, 1)
