@@ -21,7 +21,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -287,6 +287,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         corrupted = corrupt(stream, spec)
         events = scan_decode(corrupted, c)
         offset = detection_offset(events, spec.position)
+        if spec.kind == "insert":  # record drawn symbols for a replay
+            spec = replace(spec, inserted=corrupted.symbols[
+                spec.position:spec.position + spec.burst_length])
         runs.append({
             "edit": {k: v for k, v in asdict(spec).items() if v is not None},
             "events": [

@@ -16,8 +16,8 @@ of ``families.count_vectors``; it builds no family and runs no search.
 Every derived word set, ``lift_code`` and the ``search.max_code`` witnesses
 included, is a list of terms filled by ``_materialize``, which raises
 ``CodeTooLarge`` before filling when the term sizes sum past ``MAX_WORDS``.
-Its factors are level sets of checked families, checked codes or the
-alphabet, so it builds the code with ``words._trusted_code``.
+Its factors are family level sets (valid by construction), checked codes
+or the alphabet, so it builds the code with ``words._trusted_code``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import product as iproduct
 from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .families import PartitionFamily, checked, compositions, count_vectors
+from .families import PartitionFamily, compositions, count_vectors
 from .words import (DIGITS, CodeSet, _trusted_code, check_alphabet,
                     check_window, verify_overlap_free)
 
@@ -79,7 +79,6 @@ def _require_depth(f: PartitionFamily, needed: int, label: str) -> None:
 
 def _check_terms(f: PartitionFamily, n: int, t1: int, t2: int,
                  label: str) -> None:
-    checked(f)
     check_window(n, t1, t2)
     if t1 + t2 > n:
         raise ValueError(f"{label}: requires t1 + t2 <= n")
@@ -210,7 +209,6 @@ def table_rows(which: str, q: int, n_max: int) -> Iterator[dict]:
 
 
 def _check_wmu(f: PartitionFamily, n: int, k: int, label: str) -> None:
-    checked(f)
     if not 0 <= k <= n - 2:
         raise ValueError(f"{label}: k must satisfy 0 <= k <= n-2")
     _require_depth(f, n - 1, label)
@@ -265,7 +263,6 @@ def t1t2_expanded(f: PartitionFamily, n: int, t1: int, t2: int, *,
 
 
 def _check_simultaneous(f: PartitionFamily, n: int, k: int, label: str) -> None:
-    checked(f)
     if not 1 <= k or not 2 * k < n:
         raise ValueError(f"{label}: requires 1 <= k < n/2")
     _require_depth(f, k, label)

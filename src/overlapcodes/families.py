@@ -5,6 +5,10 @@ splits the alphabet into two non-empty parts; level i >= 2 splits the
 concatenation layer ``union(L_j R_{i-j} for j in [1, i-1])``.  Families
 generate every code construction in this package.
 
+Validity is a constructor invariant: ``PartitionFamily`` raises on the
+first level ``validate`` rejects, so no consumer checks a family again.
+Builders that prove every level constraint use ``_trusted_family``.
+
 ``enumerate_families`` fills levels left to right, computing each next
 level's sorted ground set once per parent.  Each split of a ground set is
 read from a table of the ground's subsets built by doubling (binary-counter
@@ -19,11 +23,11 @@ family: every size formula reads only the counts |L_i| and |R_i|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .words import DIGITS, CodeSet, _overlap_scan, check_alphabet, check_word
+from .words import (DIGITS, CodeSet, _overlap_scan, _unchecked,
+                    check_alphabet, check_word)
 
 # the widest ground whose 2^w subsets one table holds; wider grounds are
 # split into a table part and lazily enumerated higher words
@@ -32,8 +36,15 @@ SUBSET_TABLE_BITS = 10
 
 @dataclass(frozen=True)
 class PartitionFamily:
+    """A valid family; the constructor raises on any invalid level."""
+
     q: int
     levels: tuple[tuple[frozenset[str], frozenset[str]], ...]
+
+    def __post_init__(self):
+        problem = validate(self)
+        if problem is not None:
+            raise ValueError(f"invalid partition family: {problem}")
 
     @property
     def depth(self) -> int:
@@ -47,27 +58,28 @@ class PartitionFamily:
         """R_i (1-based level index)."""
         return self.levels[i - 1][1]
 
-    @cached_property
-    def _problem(self) -> str | None:
-        return validate(self)  # the family is immutable: validate it once
-
 
 Pair = tuple[frozenset[str], frozenset[str]]
 
 
 def family(q: int, levels: Sequence[tuple]) -> PartitionFamily:
-    """Build a PartitionFamily from any iterables of words; does not validate."""
+    """Build a PartitionFamily from any iterables of words; validates it."""
     return PartitionFamily(
         q=q,
         levels=tuple((frozenset(l), frozenset(r)) for l, r in levels),
     )
 
 
-def concat_layer(f: PartitionFamily, i: int) -> set[str]:
+def _trusted_family(q: int, levels: Sequence[Pair]) -> PartitionFamily:
+    """A family built without ``validate``, for builders that prove it."""
+    return _unchecked(PartitionFamily, q=q, levels=tuple(levels))
+
+
+def concat_layer(levels: Sequence[Pair], i: int) -> set[str]:
     """The set union(L_j R_{i-j} for j in [1, i-1]) that level i must split."""
     out: set[str] = set()
     for j in range(1, i):
-        lj, rij = f.left(j), f.right(i - j)
+        lj, rij = levels[j - 1][0], levels[i - j - 1][1]
         for l in lj:
             for r in rij:
                 out.add(l + r)
@@ -97,28 +109,13 @@ def validate(f: PartitionFamily) -> str | None:
             if li | ri != set(DIGITS[: f.q]):
                 return "level 1: L1 and R1 do not partition the alphabet"
         else:
-            ground = concat_layer(f, i)
+            ground = concat_layer(f.levels, i)
             if li | ri != ground:
                 missing = sorted(ground - (li | ri))
                 extra = sorted((li | ri) - ground)
                 return (f"level {i}: L{i} union R{i} != concatenation layer "
                         f"(missing {missing}, extra {extra})")
     return None
-
-
-def _valid(f: PartitionFamily) -> PartitionFamily:
-    """f, recorded as valid without running ``validate``; only for families
-    whose builder proves every level constraint."""
-    f.__dict__["_problem"] = None  # the slot cached_property would fill
-    return f
-
-
-def checked(f: PartitionFamily) -> PartitionFamily:
-    """f itself if it is valid, else ValueError; validates f at most once."""
-    problem = f._problem
-    if problem is not None:
-        raise ValueError(f"invalid partition family: {problem}")
-    return f
 
 
 def _subset_splits(ground: list[str]) -> Iterable[Pair]:
@@ -160,11 +157,11 @@ def enumerate_families(q: int, k: int) -> Iterator[PartitionFamily]:
     def extend(levels: tuple, pairs: Iterable[Pair]) -> Iterator[PartitionFamily]:
         if len(levels) + 1 == k:
             for pair in pairs:
-                yield PartitionFamily(q, levels + (pair,))
+                yield _trusted_family(q, levels + (pair,))
             return
         for pair in pairs:
             grown = levels + (pair,)
-            ground = concat_layer(PartitionFamily(q, grown), len(grown) + 1)
+            ground = concat_layer(grown, len(grown) + 1)
             yield from extend(grown, _subset_splits(sorted(ground)))
 
     return extend((), (pair for pair in _subset_splits(sorted(DIGITS[:q]))
@@ -203,11 +200,9 @@ def balanced_family(q: int, x: int, k: int, side: Side) -> PartitionFamily:
     L_i = L1 R1^(i-1).  side="L_empty": L1 gets the x lowest symbols,
     L_i = {} for i > 1, so R_i = L1^(i-1) R1.
     """
-    check_alphabet(q)
+    _check_depth(q, k)
     if not 1 <= x <= q - 1:
         raise ValueError(f"x must be in [1, q-1], got x={x} for q={q}")
-    if k < 1:
-        raise ValueError("depth must be >= 1")
     low = frozenset(DIGITS[:x])
     high = frozenset(DIGITS[x:q])
     levels: list[tuple[frozenset[str], frozenset[str]]] = []
@@ -227,7 +222,7 @@ def balanced_family(q: int, x: int, k: int, side: Side) -> PartitionFamily:
                            frozenset(l + r for l in l1 for r in prev_right)))
     else:
         raise ValueError(f"side must be 'R_empty' or 'L_empty', got {side!r}")
-    return PartitionFamily(q=q, levels=tuple(levels))
+    return _trusted_family(q, levels)
 
 
 @dataclass(frozen=True)
@@ -254,7 +249,6 @@ def decompose(w: str, f: PartitionFamily) -> DecompositionTrace:
     when every remaining ``lr`` occurrence spans a subword longer than the
     family depth.
     """
-    checked(f)
     check_word(w, f.q)
     k = f.depth
     l1, r1 = f.left(1), f.right(1)
@@ -316,10 +310,9 @@ def family_from_code(c: CodeSet, k: int) -> PartitionFamily:
     their union is the alphabet or the concatenation layer.  R_1 holds the
     last symbol of every word, since the t = 1 test found no last symbol
     among the first symbols.  That leaves L_1, which is empty exactly when
-    c is empty; that family goes through ``checked`` and raises.
+    c is empty; that family goes through the strict constructor and raises.
     """
-    if k < 1:
-        raise ValueError("depth must be >= 1")
+    _check_depth(c.q, k)
     witness, realized = _overlap_scan(c, 1, min(k, c.n - 1))
     if witness is not None:
         raise ValueError(
@@ -331,11 +324,10 @@ def family_from_code(c: CodeSet, k: int) -> PartitionFamily:
     l1 = sigma & realized[1]
     levels = [(l1, sigma - l1)]
     for i in range(2, k + 1):
-        ground = concat_layer(PartitionFamily(c.q, tuple(levels)), i)
+        ground = concat_layer(levels, i)
         li = frozenset(ground & realized.get(i, set()))
         levels.append((li, frozenset(ground - li)))
-    f = PartitionFamily(q=c.q, levels=tuple(levels))
-    return _valid(f) if l1 else checked(f)
+    return (_trusted_family if l1 else PartitionFamily)(c.q, tuple(levels))
 
 
 def compositions(m: int) -> Iterator[tuple[int, ...]]:

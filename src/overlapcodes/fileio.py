@@ -7,8 +7,8 @@ In both, a comment runs from ``#`` to the end of its line, where lines end
 at every break that ``str.splitlines`` recognises (``\n``, ``\r\n``, ``\r``,
 ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``, ``\x85``, ``\u2028``, ``\u2029``); the
 header is the first line that is not blank once comments are removed.
-Parsing a family always validates it; invalid families never enter the
-system through a file.
+A parsed family is built by the strict ``families.family`` constructor,
+so an invalid family file raises FormatError and never enters the system.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import hashlib
 import re
 from pathlib import Path
 
-from .families import PartitionFamily, checked, family
+from .families import PartitionFamily, family
 from .words import CodeSet, code
 
 
@@ -112,7 +112,7 @@ def parse_family(text: str, path: str = "<string>") -> PartitionFamily:
         if not any(levels[-1]):
             break
     try:
-        return checked(family(q, levels))
+        return family(q, levels)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 

@@ -51,7 +51,7 @@ from typing import Iterable, Iterator
 
 from .constructions import (CodeTooLarge, _alphabet_factors, _lift_terms,
                             _materialize, overlap_free_1k)
-from .families import PartitionFamily, checked, family_from_code
+from .families import PartitionFamily, family_from_code
 from .words import (CodeSet, _trusted_code, all_words, check_alphabet,
                     check_window, prefix_suffix_levels, verify_overlap_free)
 
@@ -548,7 +548,6 @@ def maximality_certificate(f: PartitionFamily, n: int, k: int,
     must appear as a codeword prefix and every element of R_t as a suffix.
     For an even split point n/2 with a singleton level the converse direction
     is not available and the verdict is inconclusive."""
-    checked(f)
     if 2 * k < n:
         raise ValueError("maximality_certificate: requires k >= n/2")
     c = overlap_free_1k(f, n, k)
@@ -590,7 +589,6 @@ def binary_edge_check(f: PartitionFamily, n: int, k: int) -> EdgeCaseReport:
          words in L_j L_{n/2} (and the L_1-chain variants) are prefixes;
     (iii) the mirror image of (ii) on the R side.
     """
-    checked(f)
     if 2 * k < n:
         raise ValueError("binary_edge_check: requires k >= n/2")
     if n % 2 == 1:

@@ -5,10 +5,10 @@ Words are plain strings of base-36 digits; symbol ``i`` is written as
 alphabet as the canonical symbols ``0 .. q-1``.
 
 The public constructors ``CodeSet(...)`` and ``code()`` are strict: they
-check every word's length and symbols.  Word sets that the library builds
-from parts it has already checked (validated families, checked codes,
-``all_words``) go through ``_trusted_code`` instead, which keeps only the
-O(1) checks on q, n and the window.
+check every word's length and symbols.  Word sets built from checked parts
+(family level sets, checked codes, ``all_words``) go through
+``_trusted_code``, which keeps only the O(1) checks on q, n and the window;
+it and ``families._trusted_family`` bypass their constructor by ``_unchecked``.
 
 ``prefix_suffix_levels`` is the one prefix/suffix level kernel: it slices
 the words once, at the top level, and derives each lower level from the one
@@ -92,6 +92,14 @@ def code(q: int, n: int, words, window: tuple[int, int] | None = None) -> CodeSe
     return CodeSet(q=q, n=n, words=frozenset(words), window=window)
 
 
+def _unchecked(cls: type, **fields):
+    """A frozen dataclass instance built without its ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name in fields:
+        object.__setattr__(obj, name, fields[name])
+    return obj
+
+
 def _trusted_code(q: int, n: int, words: Iterable[str],
                   window: tuple[int, int] | None = None) -> CodeSet:
     """A CodeSet of words already known to have length n over the first q
@@ -101,11 +109,7 @@ def _trusted_code(q: int, n: int, words: Iterable[str],
     _check_block(q, n)
     if window is not None:
         check_window(n, *window)
-    c = object.__new__(CodeSet)
-    for name, value in (("q", q), ("n", n), ("words", frozenset(words)),
-                        ("window", window)):
-        object.__setattr__(c, name, value)
-    return c
+    return _unchecked(CodeSet, q=q, n=n, words=frozenset(words), window=window)
 
 
 @dataclass(frozen=True)

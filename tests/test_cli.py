@@ -9,9 +9,9 @@ import pytest
 from jsonschema import validate as schema_validate
 
 from overlapcodes.cli import SPEC_INTEGERS, SPEC_PATHS, main
-from overlapcodes.constructions import KINDS
+from overlapcodes.constructions import KINDS, overlap_free_1k
 from overlapcodes.fileio import read_code, write_code, write_family
-from overlapcodes.families import family
+from overlapcodes.families import balanced_family, family
 from overlapcodes.words import code
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schema"
@@ -48,15 +48,20 @@ def test_construct_one_k(tmp_path, family_file, capsys):
     schema_validate(manifest, load_schema("manifest.v1.json"))
 
 
-def test_construct_invalid_family_exits_nonzero(tmp_path):
-    bad = tmp_path / "fam.txt"
-    bad.write_text("q=3 k=2\nL1: 0 1\nR1: 2\nL2: 02\nR2:\n")
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(
-        {"kind": "OneK", "n": 4, "k": 2, "family": str(bad)}))
-    rc = main(["construct", "--spec", str(spec_path),
-               "--out", str(tmp_path / "c.txt")])
+def test_construct_invalid_family_exits_nonzero(tmp_path, monkeypatch,
+                                               capsys):
+    # level 2 of a q=2 family must split {01}; this file leaves it empty
+    monkeypatch.chdir(tmp_path)
+    Path("badfam.txt").write_text("q=2 k=2\nL1: 0\nR1: 1\nL2:\nR2:\n")
+    Path("spec.json").write_text(json.dumps(
+        {"kind": "OneK", "n": 4, "k": 2, "family": "badfam.txt"}))
+    rc = main(["construct", "--spec", "spec.json", "--out", "c.txt",
+               "--report", "report.json"])
     assert rc == 1
+    assert capsys.readouterr() == (
+        "", "badfam.txt: invalid partition family: level 2: L2 union R2 != "
+        "concatenation layer (missing ['01'], extra [])\n")
+    assert not Path("c.txt").exists() and not Path("report.json").exists()
 
 
 def test_construct_pad_from_code(tmp_path):
@@ -369,6 +374,34 @@ def test_simulate_explicit_edits(tmp_path):
     rc = main(["simulate", "--code", str(code_path), "--edits", str(edits),
                "--json", str(tmp_path / "ev.json")])
     assert rc == 0
+
+
+def test_simulate_records_drawn_insertions_for_replay(tmp_path):
+    # unseeded inserts draw from OS entropy; the recorded symbols, fed back
+    # as an edits file, replay the run exactly
+    code_path = tmp_path / "c3.txt"
+    write_code(overlap_free_1k(balanced_family(3, 1, 2, "L_empty"), 5, 2),
+               code_path)
+    message = [0, 1, 2, 0, 1]
+    edits = tmp_path / "e5.json"
+    edits.write_text(json.dumps({
+        "message": message, "window": [1, 2],
+        "edits": [{"kind": "insert", "position": 5, "burst_length": 5},
+                  {"kind": "insert", "position": 5, "burst_length": 3},
+                  {"kind": "delete", "position": 5, "burst_length": 2}]}))
+    first = tmp_path / "first.json"
+    assert main(["simulate", "--code", str(code_path), "--edits", str(edits),
+                 "--json", str(first)]) == 0
+    runs = json.loads(first.read_text())["runs"]
+    recorded = [run["edit"] for run in runs]
+    assert [len(e.get("inserted", "")) for e in recorded] == [5, 3, 0]
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"message": message, "window": [1, 2],
+                                  "edits": recorded}))
+    second = tmp_path / "second.json"
+    assert main(["simulate", "--code", str(code_path), "--edits", str(replay),
+                 "--json", str(second)]) == 0
+    assert json.loads(second.read_text())["runs"] == runs
 
 
 @pytest.mark.parametrize("edits,complaint", [

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from overlapcodes import families
 from overlapcodes.constructions import (_size_1k, code_size_1k,
-                                        non_overlapping_size)
-from overlapcodes.families import (PartitionFamily, balanced_family, checked,
+                                        non_overlapping_size, overlap_free_1k)
+from overlapcodes.families import (PartitionFamily, balanced_family,
                                    compositions, concat_layer, count_vectors,
                                    decompose, enumerate_families, family,
                                    family_from_code, validate)
-from overlapcodes.search import enumerate_maximal_codes
+from overlapcodes.search import enumerate_maximal_codes, maximality_certificate
 from overlapcodes.words import DIGITS, code, verify_overlap_free
 
 
@@ -25,62 +25,56 @@ def test_validate_example_family():
 
 
 def test_validate_names_failing_level():
-    broken = family(3, [({"0", "1"}, {"2"}), ({"02"}, set())])
-    problem = validate(broken)
-    assert problem is not None and "level 2" in problem and "12" in problem
+    with pytest.raises(ValueError, match=r"level 2.*12"):
+        family(3, [({"0", "1"}, {"2"}), ({"02"}, set())])
 
 
 def count_level_checks(monkeypatch):
     calls = []
     real = families.concat_layer
 
-    def counting(f, i):
+    def counting(levels, i):
         calls.append(i)
-        return real(f, i)
+        return real(levels, i)
 
     monkeypatch.setattr(families, "concat_layer", counting)
     return calls
 
 
-def test_checked_validates_each_family_once(monkeypatch):
+def test_family_is_validated_once_at_construction(monkeypatch):
     calls = count_level_checks(monkeypatch)
     f = family(3, [({"0", "1"}, {"2"}), ({"02"}, {"12"})])
-    assert checked(f) is f
     assert calls == [2]
-    assert checked(f) is f
+    # consumers take the family's validity from its type
+    overlap_free_1k(f, 4, 2)
+    code_size_1k(f, 4, 2)
+    decompose("02122", f)
+    maximality_certificate(f, 4, 2)
     assert calls == [2]
-    # an equal but separate object is validated on its own
-    checked(family(3, [({"0", "1"}, {"2"}), ({"02"}, {"12"})]))
-    assert calls == [2, 2]
-
-
-def test_invalid_family_fails_on_every_call(monkeypatch):
-    calls = count_level_checks(monkeypatch)
-    broken = family(3, [({"0", "1"}, {"2"}), ({"02"}, set())])
-    for _ in range(3):
-        with pytest.raises(ValueError, match="level 2"):
-            checked(broken)
-    assert calls == [2]
+    with pytest.raises(ValueError,
+                       match="^invalid partition family: level 2"):
+        family(3, [({"0", "1"}, {"2"}), ({"02"}, set())])
 
 
 def test_validate_empty_side_level_one():
-    broken = family(2, [(set(), {"0", "1"})])
-    problem = validate(broken)
-    assert problem is not None and "level 1" in problem
+    with pytest.raises(ValueError, match="level 1"):
+        family(2, [(set(), {"0", "1"})])
 
 
 def test_validate_names_level_of_foreign_word():
-    assert "level 1" in validate(family(2, [({"0"}, {"1", "2"})]))
-    assert "level 1" in validate(family(2, [({"0"}, {"1", "11"})]))
-    bad = validate(family(2, [({"0"}, {"1"}), ({"02"}, {"01"})]))
-    assert "level 2" in bad and "'02'" in bad
-    short = validate(family(2, [({"0"}, {"1"}), (set(), {"01", "1"})]))
-    assert "level 2" in short and "'1'" in short
+    with pytest.raises(ValueError, match="level 1"):
+        family(2, [({"0"}, {"1", "2"})])
+    with pytest.raises(ValueError, match="level 1"):
+        family(2, [({"0"}, {"1", "11"})])
+    with pytest.raises(ValueError, match=r"level 2.*'02'"):
+        family(2, [({"0"}, {"1"}), ({"02"}, {"01"})])
+    with pytest.raises(ValueError, match=r"level 2.*'1'"):
+        family(2, [({"0"}, {"1"}), (set(), {"01", "1"})])
 
 
 def test_validate_rejects_overlap():
-    broken = family(2, [({"0", "1"}, {"1"})])
-    assert "intersect" in validate(broken)
+    with pytest.raises(ValueError, match="intersect"):
+        family(2, [({"0", "1"}, {"1"})])
 
 
 def nested_enumeration(q, k):
@@ -97,8 +91,7 @@ def nested_enumeration(q, k):
             ground = alphabet
             lo, hi = 1, 2 ** q - 1
         else:
-            ground = sorted(concat_layer(
-                families.PartitionFamily(q, tuple(levels)), i))
+            ground = sorted(concat_layer(levels, i))
             lo, hi = 0, 2 ** len(ground)
         for bits in range(lo, hi):
             left = frozenset(ground[j] for j in range(len(ground))
@@ -278,10 +271,10 @@ def oracle_family_from_code(c, k):
     l1 = frozenset(ch for ch in DIGITS[: c.q] if ch in prefixes)
     levels = [(l1, frozenset(DIGITS[: c.q]) - l1)]
     for i in range(2, k + 1):
-        ground = concat_layer(PartitionFamily(c.q, tuple(levels)), i)
+        ground = concat_layer(levels, i)
         li = frozenset(x for x in ground if x in prefixes)
         levels.append((li, frozenset(ground) - li))
-    return checked(PartitionFamily(q=c.q, levels=tuple(levels)))
+    return PartitionFamily(q=c.q, levels=tuple(levels))
 
 
 @pytest.mark.parametrize("q,n,k", [(3, 5, 4), (3, 6, 4), (3, 6, 5)])
@@ -336,10 +329,10 @@ def test_compositions_count_and_order(m):
 
 
 def test_concat_layer():
-    assert concat_layer(EXAMPLE_FAMILY, 2) == {"02", "12"}
+    assert concat_layer(EXAMPLE_FAMILY.levels, 2) == {"02", "12"}
     f = family(3, [({"0", "1"}, {"2"}), ({"02"}, {"12"})])
     # level 3 layer: L1 R2 + L2 R1
-    assert concat_layer(f, 3) == {"012", "112", "022"}
+    assert concat_layer(f.levels, 3) == {"012", "112", "022"}
 
 
 def _sizes(f, k):

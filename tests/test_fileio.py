@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlapcodes.families import (balanced_family, checked,
-                                   enumerate_families, family)
+from overlapcodes.families import (balanced_family, enumerate_families,
+                                   family)
 from overlapcodes.fileio import (FormatError, _split_header,
                                  format_code, format_family, parse_code,
                                  parse_family,
@@ -155,7 +155,7 @@ def lined_parse_family(text, path="<string>"):
     levels = [(sets.get(f"L{i}", set()), sets.get(f"R{i}", set()))
               for i in range(1, k + 1)]
     try:
-        return checked(family(q, levels))
+        return family(q, levels)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
