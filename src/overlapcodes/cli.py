@@ -1,6 +1,6 @@
 """Command-line surface: construct, verify, bounds, search, tables, simulate,
-families.  Each command is a thin shell over the library; ``tables`` prints
-``constructions.table_rows``, ``search --method`` takes ``search.METHODS``.
+families.  Each command is a thin shell over the library: ``tables`` prints
+``constructions.table_rows`` and ``search`` prints ``search.max_code``.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage (a negative ``--budget``
 or ``--max-families`` and an option the command would drop too), 3 budget or
@@ -36,7 +36,7 @@ from .constructions import (KINDS, CodeTooLarge, ConstructionSpec,
 from .families import enumerate_families
 from .fileio import (FormatError, format_code, format_family, read_code,
                      read_family, sha256_digest)
-from .search import DEFAULT_NODE_BUDGET, METHODS, max_code
+from .search import DEFAULT_NODE_BUDGET, max_code
 from .words import DIGITS, CodeSet, check_alphabet, verify_overlap_free
 
 EXIT_OK = 0
@@ -119,7 +119,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     spec = ConstructionSpec(kind=kind, n=spec_data["n"], family=family,
                             base_code=base, k=spec_data.get("k"),
                             t1=spec_data.get("t1"), t2=spec_data.get("t2"))
-    result = run_construction(spec, strict=args.strict)
+    result = run_construction(spec)
     verification = [_window_report(result, t1, t2)
                     for t1, t2 in claimed_windows(spec)]
     ok = all(record["ok"] for record in verification)
@@ -195,7 +195,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     result = max_code(args.q, args.n, args.t1, args.t2,
-                      node_budget=args.budget, method=args.method)
+                      node_budget=args.budget)
     payload = {
         "q": args.q, "n": args.n, "t1": args.t1, "t2": args.t2,
         "size": result.size,
@@ -205,7 +205,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "witness": result.code.sorted_words(),
     }
     params = {"q": args.q, "n": args.n, "t1": args.t1, "t2": args.t2,
-              "budget": args.budget, "method": args.method}
+              "budget": args.budget}
     _emit(args, args.json, [_json(payload)], params)
     return EXIT_OK if result.exact else EXIT_BUDGET
 
@@ -365,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.add_argument("--strict", action="store_true",
-                   help="treat duplicate generated words as an error")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="verify a code file against a window")
@@ -391,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="node-expansion budget (default %(default)s)")
-    p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--json")
     p.set_defaults(func=_cmd_search)
 

@@ -245,9 +245,8 @@ def pad_t1t2(x: CodeSet, t1: int, t2: int) -> CodeSet:
     base_t2 = min(t2, x.n - 1)
     witness = verify_overlap_free(x, 1, base_t2)
     if witness is not None:
-        raise ValueError(
-            f"pad_t1t2: base code is not (1,{base_t2})-overlap-free: prefix of "
-            f"{witness.u!r} is a suffix of {witness.v!r} at t={witness.t}")
+        raise ValueError(f"pad_t1t2: base code is not "
+                         f"(1,{base_t2})-overlap-free: {witness}")
     terms = [(frozenset(x.words),) + _alphabet_factors(x.q, t1 - 1)]
     return _materialize(terms, q=x.q, n=n, window=(t1, t2), strict=True,
                         label="pad_t1t2")
@@ -387,5 +386,6 @@ def claimed_windows(spec: ConstructionSpec) -> list[tuple[int, int]]:
     return _kind(spec).windows(spec)
 
 
-def run_construction(spec: ConstructionSpec, *, strict: bool = False) -> CodeSet:
-    return _kind(spec).build(spec, strict=strict)
+def run_construction(spec: ConstructionSpec) -> CodeSet:
+    """Strict for every kind but ExpandedT1T2, whose layers may overlap."""
+    return _kind(spec).build(spec, strict=spec.kind != "ExpandedT1T2")

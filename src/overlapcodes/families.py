@@ -315,9 +315,7 @@ def family_from_code(c: CodeSet, k: int) -> PartitionFamily:
     _check_depth(c.q, k)
     witness, realized = _overlap_scan(c, 1, min(k, c.n - 1))
     if witness is not None:
-        raise ValueError(
-            f"code is not (1,{k})-overlap-free: prefix of {witness.u!r} is a "
-            f"suffix of {witness.v!r} at t={witness.t}")
+        raise ValueError(f"code is not (1,{k})-overlap-free: {witness}")
     if k >= c.n:
         realized[c.n] = c.words
     sigma = frozenset(DIGITS[: c.q])

@@ -2,31 +2,29 @@
 family-level maximality certificate.
 
 A (t1, t2)-overlap-free code is exactly a clique in the compatibility graph
-whose vertices are the self-compatible words.  Four exact engines cover the
-desk-scale parameter space:
+whose vertices are the self-compatible words.  Three exact engines cover the
+desk-scale parameter space, and ``max_code`` takes the first that applies:
 
-* ``raw``        - bit-parallel branch and bound on the full graph; the bound
-                   is the number of greedy colour classes (San Segundo et
-                   al., BBMC, Comput. Oper. Res. 2011).
-* ``quotient``   - the free-middle reduction: compatibility only depends on
-                   the first and last t2 symbols, so for n > 2*t2 the same
-                   search runs at n = 2*t2 and every middle is inserted into
-                   the witness (size times q^(n-2t2)); for n <= 2*t2 it is
-                   the raw search.
+* ``classcount`` - for t1 = t2 = t and n < 2t a code is a split of Sigma^t
+                   into prefix and suffix sides; once the number of prefix
+                   strings per head key is fixed, each head key fills the
+                   tail keys with the fewest prefix strings first, so walk
+                   the non-decreasing row-sum tuples.
 * ``rectangle``  - for n >= 2*t2 a maximum code is a product P x Sigma^(n-2t2)
                    x S with the prefix sets of P disjoint from the suffix sets
                    of S level by level; enumerate the claim sets of the
                    lower levels, each side word one bit, with precomputed
                    mask tables per level giving the words a claim set
                    leaves on each side.
-* ``classcount`` - for t1 = t2 = t and n < 2t a code is a split of Sigma^t
-                   into prefix and suffix sides; once the number of prefix
-                   strings per head key is fixed, each head key fills the
-                   tail keys with the fewest prefix strings first, so walk
-                   the non-decreasing row-sum tuples.
+* ``quotient``   - bit-parallel branch and bound on the compatibility graph;
+                   the bound is the number of greedy colour classes (San
+                   Segundo et al., BBMC, Comput. Oper. Res. 2011).
+                   Compatibility only depends on the first and last t2
+                   symbols, so for n > 2*t2 the search runs at n = 2*t2 and
+                   every middle is inserted into the witness (size times
+                   q^(n-2t2)).
 
-``METHODS`` lists these names and ``auto``, which picks among them.  Each
-engine's witness is a list of concatenation terms of length n, which
+Each engine's witness is a list of concatenation terms of length n, which
 ``max_code`` fills with ``constructions._materialize`` (capped at
 ``MAX_WORDS``); ``build_graph`` caps its universe at ``VERTEX_CAP`` words.
 Both caps raise ``CodeTooLarge``.  ``build_graph`` slices each vertex once,
@@ -60,7 +58,6 @@ VERTEX_CAP = 1 << 20
 _RECTANGLE_ASSIGNMENT_CAP = 1 << 13
 _RECTANGLE_SIDE_CAP = 1 << 12
 _CLASSCOUNT_CAP = 1 << 12
-METHODS = ("auto", "classcount", "rectangle", "quotient", "raw")
 
 
 class SearchBudgetExceeded(Exception):
@@ -388,29 +385,18 @@ class SearchResult:
 
 
 def max_code(q: int, n: int, t1: int, t2: int, *,
-             node_budget: int = DEFAULT_NODE_BUDGET,
-             method: str = "auto") -> SearchResult:
+             node_budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
     """A maximum (t1, t2)-overlap-free code, exact unless the node budget is
-    exhausted.  method is one of METHODS; auto takes classcount, then
-    rectangle, where they apply, and else quotient.  Raises CodeTooLarge
-    when the graph or the witness would pass its cap."""
+    exhausted.  Takes classcount, then rectangle, where they apply, and else
+    quotient.  Raises CodeTooLarge when the graph or the witness would pass
+    its cap."""
     check_alphabet(q)
     check_window(n, t1, t2)
-    if method not in METHODS:
-        raise ValueError(f"unknown search method {method!r}")
-
-    use_rectangle = (n >= 2 * t2 and _rectangle_levels_feasible(q, t1, t2))
-    if method == "rectangle" and not use_rectangle:
-        raise ValueError("rectangle method requires n >= 2*t2 and small levels")
-    use_classcount = _classcount_feasible(q, n, t1, t2)
-    if method == "classcount" and not use_classcount:
-        raise ValueError("classcount method requires t1 == t2, n < 2*t2, and "
-                         "small key classes")
     nodes, exact, base_n = 0, True, n
-    if method in ("auto", "classcount") and use_classcount:
+    if _classcount_feasible(q, n, t1, t2):
         value, terms = _classcount_max(q, n, t2)
         used = "classcount"
-    elif method in ("auto", "rectangle") and use_rectangle:
+    elif n >= 2 * t2 and _rectangle_levels_feasible(q, t1, t2):
         value, p_side, s_side = _rectangle_max(q, t1, t2)
         base_n, used = 2 * t2, "rectangle"
         terms = [(frozenset(p_side), *_alphabet_factors(q, n - base_n),
@@ -418,9 +404,7 @@ def max_code(q: int, n: int, t1: int, t2: int, *,
     else:
         # Compatibility only reads the first and last t2 symbols, so beyond
         # n = 2*t2 the graph is the 2*t2 graph with every middle inserted.
-        if method != "raw":
-            base_n = min(n, 2 * t2)
-        used = "raw" if method == "raw" else "quotient"
+        base_n, used = min(n, 2 * t2), "quotient"
         graph = build_graph(q, base_n, t1, t2)
         value, mask, nodes, exact = _MaxClique(graph, node_budget).solve()
         terms = _lift_terms(graph.words(mask), t2, n - base_n, q)

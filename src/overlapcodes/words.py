@@ -72,7 +72,7 @@ class CodeSet:
     def __post_init__(self):
         _check_block(self.q, self.n)
         if not set(map(len, self.words)) <= {self.n}:
-            w = next(w for w in self.words if len(w) != self.n)
+            w = min(w for w in self.words if len(w) != self.n)
             raise ValueError(f"word {w!r} does not have length {self.n}")
         bad = set("".join(self.words)) - set(DIGITS[: self.q])
         if bad:
@@ -119,6 +119,9 @@ class OverlapWitness:
     u: str
     v: str
     t: int
+
+    def __str__(self) -> str:
+        return f"prefix of {self.u!r} is a suffix of {self.v!r} at t={self.t}"
 
 
 def overlap_lengths(u: str, v: str) -> set[int]:

@@ -19,7 +19,8 @@ from overlapcodes.constructions import (code_size_1k, non_overlapping,
                                         pad_t1t2, simultaneous, t1t2_expanded,
                                         table_rows, wmu_expanded, wmu_size)
 from overlapcodes.families import enumerate_families, family_from_code
-from overlapcodes.search import (all_maximal_from_construction,
+from overlapcodes.search import (DEFAULT_NODE_BUDGET, _MaxClique,
+                                 all_maximal_from_construction,
                                  binary_edge_check, build_graph,
                                  enumerate_maximal_codes, is_maximal,
                                  max_code, maximality_certificate)
@@ -47,13 +48,15 @@ def test_criterion_01_exact_window2_values():
 def test_criterion_02_free_middle_reduction():
     """Direct 64-word search equals q^2 times the half-length value."""
     started = time.time()
-    big = max_code(2, 6, 1, 2, method="raw")
-    small = max_code(2, 4, 1, 2, method="raw")
-    assert big.exact and small.exact
-    assert big.size == 4 * small.size == 8
+    big, _, _, big_exact = _MaxClique(build_graph(2, 6, 1, 2),
+                                      DEFAULT_NODE_BUDGET).solve()
+    small, _, _, small_exact = _MaxClique(build_graph(2, 4, 1, 2),
+                                          DEFAULT_NODE_BUDGET).solve()
+    assert big_exact and small_exact
+    assert big == 4 * small == 8 == max_code(2, 6, 1, 2).size
     elapsed = time.time() - started
     assert elapsed < 60
-    announce(2, f"S(2,6) window (1,2) = 8 = 4 * S(2,4), raw search ({elapsed:.2f}s)")
+    announce(2, f"S(2,6) window (1,2) = 8 = 4 * S(2,4), unreduced search ({elapsed:.2f}s)")
 
 
 def test_criterion_03_table1_rows():

@@ -76,11 +76,11 @@ def test_construct_pad_from_code(tmp_path):
     assert read_code(out).sorted_words() == ["0010", "0011"]
 
 
-def run_spec(tmp_path, spec, *flags):
+def run_spec(tmp_path, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     out = tmp_path / "out.txt"
-    rc = main(["construct", *flags, "--spec", str(spec_path), "--out",
+    rc = main(["construct", "--spec", str(spec_path), "--out",
                str(out), "--report", str(tmp_path / "report.json")])
     return rc, out
 
@@ -160,27 +160,21 @@ def test_construct_spec_check_mirrors_schema():
         assert props[key]["type"] == "string"
 
 
-@pytest.mark.parametrize("spec,flags,exit_code,complaint", [
-    ({"kind": "ExpandedT1T2", "n": 6, "t1": 2, "t2": 3, "family": "fam3.txt"},
-     ["--strict"], 1, "not disjoint (8 generated, 7 distinct)"),
-    ({"kind": "PadT1T2", "n": 27, "t1": 25, "t2": 25, "code": "base.txt"},
-     [], 3, "more than 10000000 words"),
+@pytest.mark.parametrize("spec", [
+    {"kind": "PadT1T2", "n": 27, "t1": 25, "t2": 25, "code": "base.txt"},
     # 2^29997 middles: past the digits an int converts to str
-    ({"kind": "Simultaneous", "n": 30000, "k": 1, "family": "fam1.txt"},
-     [], 3, "more than 10000000 words"),
+    {"kind": "Simultaneous", "n": 30000, "k": 1, "family": "fam1.txt"},
 ])
 def test_construct_library_errors_exit_with_one_line(
-        tmp_path, monkeypatch, capsys, spec, flags, exit_code, complaint):
+        tmp_path, monkeypatch, capsys, spec):
     monkeypatch.chdir(tmp_path)
-    Path("fam3.txt").write_text(
-        "q=2 k=3\nL1: 0\nR1: 1\nL2:\nR2: 01\nL3: 001\nR3:\n")
     Path("fam1.txt").write_text("q=2 k=1\nL1: 0\nR1: 1\n")
     write_code(code(2, 3, {"001"}), "base.txt")
-    rc, out = run_spec(tmp_path, spec, *flags)
-    assert rc == exit_code
+    rc, out = run_spec(tmp_path, spec)
+    assert rc == 3
     assert not out.exists() and not (tmp_path / "report.json").exists()
     err = capsys.readouterr().err
-    assert complaint in err and len(err.splitlines()) == 1
+    assert "more than 10000000 words" in err and len(err.splitlines()) == 1
 
 
 def test_construct_warning_is_one_line(tmp_path, monkeypatch, capfd):
@@ -309,13 +303,13 @@ def test_search_over_cap_exits_budget(tmp_path, capsys, t1, t2, complaint):
     assert complaint in err and len(err.splitlines()) == 1
 
 
-def test_search_forced_method_error_exits_usage(tmp_path, capsys):
+def test_search_forced_method_error_exits_usage(tmp_path):
+    # max_code picks its engine from the window, so search takes no --method
     out = tmp_path / "out.json"
-    rc = main(["search", "--q", "2", "--n", "4", "--t1", "1", "--t2", "3",
-               "--method", "rectangle", "--json", str(out)])
-    assert rc == 2 and not out.exists()
-    assert capsys.readouterr().err == (
-        "error: rectangle method requires n >= 2*t2 and small levels\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--q", "2", "--n", "4", "--t1", "1", "--t2", "3",
+              "--method", "rectangle", "--json", str(out)])
+    assert exc.value.code == 2 and not out.exists()
 
 
 @pytest.mark.parametrize("form", [["--t1", "1", "--t2", "2", "--json", "ART"],
@@ -474,7 +468,8 @@ def test_simulate_rejects_code_that_fails_its_window(tmp_path, capsys):
                str(edits_path), "--json", str(out)])
     assert rc == 1 and not out.exists()
     err = capsys.readouterr().err
-    assert "code fails its window" in err and len(err.splitlines()) == 1
+    assert err == ("simulate: code fails its window: prefix of '0010' is a "
+                   "suffix of '0010' at t=1\n")
 
 
 def test_construct_report_goes_to_stdout_without_report_path(
@@ -623,7 +618,7 @@ def test_usage_error_exit_code():
 def test_search_classcount_method(tmp_path):
     out = tmp_path / "search.json"
     rc = main(["search", "--q", "2", "--n", "5", "--t1", "3", "--t2", "3",
-               "--method", "classcount", "--json", str(out)])
+               "--json", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     schema_validate(payload, load_schema("search_result.v1.json"))

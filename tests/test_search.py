@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from overlapcodes.families import balanced_family, enumerate_families, family
 from overlapcodes.constructions import lift_code, overlap_free_1k
-from overlapcodes.search import (SearchBudgetExceeded, _best_split,
-                                 _classcount_feasible, _classcount_max,
+from overlapcodes.search import (DEFAULT_NODE_BUDGET, SearchBudgetExceeded,
+                                 _best_split, _classcount_feasible,
+                                 _classcount_max,
                                  _MaxClique, _rectangle_levels_feasible,
                                  _rectangle_max,
                                  all_maximal_from_construction,
@@ -70,6 +71,22 @@ def brute_max_size(q, n, t1, t2):
     return best
 
 
+def clique_search(q, n, t1, t2, budget=DEFAULT_NODE_BUDGET):
+    """The branch and bound on the graph at n itself: (size, witness words,
+    nodes, exact)."""
+    g = build_graph(q, n, t1, t2)
+    size, mask, nodes, exact = _MaxClique(g, budget).solve()
+    return size, g.words(mask), nodes, exact
+
+
+def quotient_size(q, n, t1, t2, budget=DEFAULT_NODE_BUDGET):
+    """The free-middle reduction by hand: the search at min(n, 2*t2) times
+    q^(n - base), and its exact flag."""
+    base = min(n, 2 * t2)
+    size, _, _, exact = clique_search(q, base, t1, t2, budget)
+    return size * q ** (n - base), exact
+
+
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
                                  (3, 2), (3, 3), (3, 4), (3, 5), (4, 3)])
 def test_adjacency_matches_overlap_oracle(q, n):
@@ -98,15 +115,15 @@ def test_adjacency_matches_overlap_oracle(q, n):
 def test_max_code_examples():
     assert max_code(2, 4, 1, 2).size == 2
     assert max_code(2, 4, 1, 3).size == 1
-    r = max_code(2, 6, 1, 2, method="raw")
-    assert r.size == 8 and r.exact
+    size, _, _, exact = clique_search(2, 6, 1, 2)
+    assert size == 8 and exact
 
 
 def test_reduction_consistency_direct_search():
     # the n > 2*t2 free-middle identity, checked against an unreduced search
-    direct = max_code(2, 6, 1, 2, method="raw")
-    base = max_code(2, 4, 1, 2, method="raw")
-    assert direct.size == 2 ** 2 * base.size
+    direct, _, _, _ = clique_search(2, 6, 1, 2)
+    base, _, _, _ = clique_search(2, 4, 1, 2)
+    assert direct == 2 ** 2 * base
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (2, 5), (3, 3), (3, 4)])
@@ -116,10 +133,8 @@ def test_methods_agree_with_brute_force(q, n):
             expect = brute_max_size(q, n, t1, t2)
             auto = max_code(q, n, t1, t2)
             assert auto.size == expect and auto.exact
-            raw = max_code(q, n, t1, t2, method="raw")
-            assert raw.size == expect
-            quo = max_code(q, n, t1, t2, method="quotient")
-            assert quo.size == expect
+            assert clique_search(q, n, t1, t2)[0] == expect
+            assert quotient_size(q, n, t1, t2)[0] == expect
 
 
 def test_witness_always_verifies():
@@ -148,8 +163,8 @@ def test_witness_images_under_symbol_permutation_and_reversal():
 
 
 def test_budget_exhaustion_flags_inexact():
-    r = max_code(3, 5, 2, 3, node_budget=10, method="quotient")
-    assert not r.exact
+    r = max_code(3, 5, 2, 3, node_budget=10)
+    assert r.method == "quotient" and not r.exact
     assert verify_overlap_free(r.code, 2, 3) is None
 
 
@@ -164,16 +179,17 @@ def test_search_tree_is_pinned(window, size):
     assert verify_overlap_free(r.code, *window[2:]) is None
 
 
-@pytest.mark.parametrize("q,n,t1,t2", [(2, 7, 2, 3), (3, 7, 2, 3),
-                                       (2, 10, 3, 4)])
+@pytest.mark.parametrize("q,n,t1,t2", [(2, 9, 1, 4), (2, 10, 1, 4),
+                                       (3, 9, 1, 4), (4, 8, 1, 3)])
 def test_quotient_is_raw_search_at_2t2_lifted(q, n, t1, t2):
     for budget in (20, 500):
-        quo = max_code(q, n, t1, t2, node_budget=budget, method="quotient")
-        base = max_code(q, 2 * t2, t1, t2, node_budget=budget, method="raw")
+        quo = max_code(q, n, t1, t2, node_budget=budget)
+        size, words, nodes, exact = clique_search(q, 2 * t2, t1, t2, budget)
+        base = code(q, 2 * t2, words, (t1, t2))
         assert quo.method == "quotient"
-        assert quo.size == base.size * q ** (n - 2 * t2)
-        assert quo.code.words == lift_code(base.code, n).words
-        assert (quo.nodes, quo.exact) == (base.nodes, base.exact)
+        assert quo.size == size * q ** (n - 2 * t2)
+        assert quo.code.words == lift_code(base, n).words
+        assert (quo.nodes, quo.exact) == (nodes, exact)
 
 
 def test_free_middle_window_answers_without_the_full_graph():
@@ -261,11 +277,11 @@ def test_rectangle_equals_exact_quotient():
     # (2, 8, 4, 4) is left out: quotient does not finish it within budget
     assert len(RECTANGLE_WINDOWS) == 36
     for window in RECTANGLE_WINDOWS:
-        rect = max_code(*window, method="rectangle")
-        quo = max_code(*window, method="quotient", node_budget=100_000)
-        assert quo.exact, window
+        rect = max_code(*window)
+        quo, exact = quotient_size(*window, budget=100_000)
+        assert exact, window
         assert (rect.method, rect.exact) == ("rectangle", True)
-        assert rect.size == quo.size, window
+        assert rect.size == quo, window
 
 
 def count_vector_max(q, n, t):
@@ -290,7 +306,8 @@ def test_classcount_row_sums_match_count_vector_walk(q, n, t):
     expect = count_vector_max(q, n, t)
     value, _ = _classcount_max(q, n, t)
     assert value == expect
-    r = max_code(q, n, t, t, method="classcount")
+    r = max_code(q, n, t, t)
+    assert r.method == "classcount"
     assert (r.size, len(r.code), r.exact) == (expect, expect, True)
     assert verify_overlap_free(r.code, t, t) is None
 
@@ -426,18 +443,6 @@ def test_maximality_certificate_inconclusive_binary_only():
         if cert.verdict == "inconclusive":
             assert len(f.left(3) | f.right(3)) == 1
     assert "inconclusive" in seen
-
-
-@pytest.mark.parametrize("method,complaint", [
-    ("rectangle", "rectangle method requires n >= 2*t2 and small levels"),
-    ("classcount", "classcount method requires t1 == t2, n < 2*t2, and "
-                   "small key classes"),
-    ("bogus", "unknown search method 'bogus'"),
-])
-def test_forced_method_outside_its_range_is_refused(method, complaint):
-    with pytest.raises(ValueError) as exc:
-        max_code(2, 4, 1, 3, method=method)
-    assert str(exc.value) == complaint
 
 
 def test_maximality_certificate_requires_wide_window():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +61,7 @@ def test_verify_examples():
     c = code(2, 4, {"0111", "0011"})
     witness = verify_overlap_free(c, 1, 3)
     assert witness == OverlapWitness(u="0111", v="0011", t=3)
+    assert str(witness) == "prefix of '0111' is a suffix of '0011' at t=3"
     assert verify_overlap_free(c, 1, 2) is None
     assert verify_overlap_free(code(2, 4, set()), 1, 3) is None
 
@@ -177,7 +182,7 @@ def loop_codeset_error(q, n, words, window):
         check_alphabet(q)
         if n < 1:
             raise ValueError("block length must be positive")
-        for w in words:
+        for w in sorted(words):
             if len(w) != n:
                 raise ValueError(f"word {w!r} does not have length {n}")
         bad = set().union(*words) - set(DIGITS[:q])
@@ -202,6 +207,20 @@ def test_codeset_errors_match_word_loop(q, n, words, window):
         assert str(exc) == expected
     else:
         assert expected is None
+
+
+def test_codeset_length_error_is_the_same_under_every_hash_seed():
+    # the smallest wrong-length word is named, not the first in set order
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("from overlapcodes.words import code\n"
+              "try:\n    code(2, 3, {'01', '0', '1', '11'})\n"
+              "except ValueError as exc:\n    print(exc)\n")
+    messages = {subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src),
+                         "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "5")}
+    assert messages == {"word '0' does not have length 3\n"}
 
 
 @given(st.integers(2, 3), st.integers(2, 6), st.data())
