@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .words import check_alphabet, check_window, primitive_count
 
@@ -107,11 +106,6 @@ def upper_bounds(q: int, n: int, t1: int, t2: int) -> list[BoundEntry]:
     return entries
 
 
-def _balanced_value(q: int, n: int, k: int) -> tuple[int, int]:
-    x = k * q // (k + 1)
-    return x, (q - x) * x ** k * q ** (n - k - 1)
-
-
 def _assert_e_bound(value: int, q: int, n: int, divisor: int) -> None:
     # certified check value >= q^n / (e * divisor) using a rational e
     if Fraction(value) * _E_LOWER * divisor < q ** n:
@@ -121,42 +115,29 @@ def _assert_e_bound(value: int, q: int, n: int, divisor: int) -> None:
 
 
 def lower_bounds(q: int, n: int, t1: int, t2: int) -> list[BoundEntry]:
-    """Every applicable lower-bound rule; the padded balanced-partition
-    construction drives them all."""
+    """The lower-bound rule: the padded balanced-partition construction,
+    (q - x) x^k q^(n-k-1) with x = floor(kq/(k+1)).  On small alphabets
+    this is the split x = q - 1: q < k + 1 gives 0 < q/(k+1) < 1, so
+    floor(kq/(k+1)) = floor(q - q/(k+1)) = q - 1."""
     _check(q, n, t1, t2)
     k = t2 if t1 + t2 <= n else n - t1
-    entries: list[BoundEntry] = []
-    x, value = _balanced_value(q, n, k)
-    entries.append(BoundEntry("balanced-partition", "lower", value,
-                              f"k={k}, split x={x}, padded construction"))
+    x = k * q // (k + 1)
+    value = (q - x) * x ** k * q ** (n - k - 1)
     if q % (k + 1) == 0:
         _assert_e_bound(value, q, n, n)
         if t1 + t2 <= n:
             _assert_e_bound(value, q, n, t2 + 1)
-    if q < k + 1:
-        fallback = (q - 1) ** k * q ** (n - k - 1)
-        entries.append(BoundEntry("small-alphabet", "lower", fallback,
-                                  f"k={k}, split x=q-1 (small alphabet)"))
-    return entries
+    return [BoundEntry("balanced-partition", "lower", value,
+                       f"k={k}, split x={x}, padded construction")]
 
 
-def exact_values(q: int, n: int, t1: int, t2: int,
-                 known: Mapping[tuple[int, int, int, int], int] | None = None,
-                 ) -> BoundEntry | None:
-    """The exact rules: the closed form for window (1, 2), and the free-middle
-    reduction when a value at block length 2*t2 is already known (``known``
-    maps (q, n, t1, t2) to certified exact sizes)."""
+def exact_values(q: int, n: int, t1: int, t2: int) -> BoundEntry | None:
+    """The exact rule: the closed form for window (1, 2) at n >= 4."""
     _check(q, n, t1, t2)
     if t1 == 1 and t2 == 2 and n >= 4:
         r = round_nearest(q, 3)
         return BoundEntry("window2-exact", "exact", r * (q - r) ** 2 * q ** (n - 3),
                           "closed form for window (1,2)")
-    if n > 2 * t2 and known is not None:
-        base = known.get((q, 2 * t2, t1, t2))
-        if base is not None:
-            return BoundEntry("reduce-to-2t2", "exact",
-                              q ** (n - 2 * t2) * base,
-                              f"q^(n-2t2) times the exact value at n={2 * t2}")
     return None
 
 
@@ -172,13 +153,11 @@ def simultaneous_lower(q: int, n: int, k: int) -> int:
     return x ** k * (q - x) ** 2 * q ** (n - k - 2)
 
 
-def bound_report(q: int, n: int, t1: int, t2: int,
-                 known: Mapping[tuple[int, int, int, int], int] | None = None,
-                 ) -> BoundReport:
+def bound_report(q: int, n: int, t1: int, t2: int) -> BoundReport:
     """Aggregate all rules; flags any lower/upper inversion as fatal."""
     uppers = upper_bounds(q, n, t1, t2)
     lowers = lower_bounds(q, n, t1, t2)
-    exact = exact_values(q, n, t1, t2, known)
+    exact = exact_values(q, n, t1, t2)
     entries = tuple(lowers + uppers + ([exact] if exact else []))
 
     best_lower = max(e.value for e in lowers)

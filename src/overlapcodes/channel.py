@@ -55,6 +55,8 @@ def corrupt(s: SymbolStream, spec: CorruptionSpec) -> SymbolStream:
         raise ValueError("burst length must be >= 1")
     pos, b = spec.position, spec.burst_length
     if spec.kind == "delete":
+        if spec.inserted is not None:
+            raise ValueError("a deletion takes no inserted symbols")
         if not 0 <= pos or pos + b > len(s.symbols):
             raise ValueError("deletion burst out of range")
         symbols = s.symbols[:pos] + s.symbols[pos + b:]

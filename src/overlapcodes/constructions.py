@@ -337,8 +337,6 @@ class ConstructionSpec:
 def _pad_spec(s: ConstructionSpec, **kw) -> CodeSet:
     base = s.base_code
     if base is None:
-        if s.family is None:
-            raise ValueError("PadT1T2 requires a family or a base code")
         base_n = s.n - s.t1 + 1
         base = overlap_free_1k(s.family, base_n, min(s.t2, base_n - 1), **kw)
     return pad_t1t2(base, s.t1, s.t2)
@@ -372,12 +370,29 @@ KINDS: dict[str, Kind] = {
 
 
 def _kind(spec: ConstructionSpec) -> Kind:
+    """The spec's kind, once every field it needs is set and every field it
+    does not read is None."""
     kind = KINDS.get(spec.kind)
     if kind is None:
         raise ValueError(f"unknown construction kind {spec.kind!r}")
     missing = [name for name in kind.fields if getattr(spec, name) is None]
     if missing:
         raise ValueError(f"{spec.kind} requires {', '.join(missing)}")
+    reads = kind.fields
+    if spec.kind == "PadT1T2":
+        # pads exactly one base: the given code, or one built from the family
+        base = spec.base_code
+        if (spec.family is None) == (base is None):
+            raise ValueError("PadT1T2 requires a family or a base code, "
+                             "not both")
+        if base is not None and spec.n != base.n + spec.t1 - 1:
+            raise ValueError(f"PadT1T2 n must be the base code length + t1 - 1 "
+                             f"= {base.n + spec.t1 - 1}, got {spec.n}")
+        reads += ("family", "base_code")
+    unread = [name for name in ("family", "base_code", "k", "t1", "t2")
+              if name not in reads and getattr(spec, name) is not None]
+    if unread:
+        raise ValueError(f"{spec.kind} does not read {', '.join(unread)}")
     return kind
 
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterable, Iterator
 
 from .constructions import (CodeTooLarge, _alphabet_factors, _lift_terms,
@@ -324,12 +325,8 @@ def _classcount_feasible(q: int, n: int, t1: int, t2: int) -> bool:
     if t2 - head >= _CLASSCOUNT_CAP.bit_length():
         return False  # the walk has over cap >= 2^(t2 - head) tuples
     keys, cap = q ** head, q ** (t2 - head)
-    walk = 1  # C(cap + keys, keys) row-sum tuples, until it passes the cap
-    for i in range(1, keys + 1):
-        walk = walk * (cap + i) // i
-        if walk > _CLASSCOUNT_CAP:
-            return False
-    return True
+    # the walk visits C(cap + keys, keys) row-sum tuples
+    return keys <= _CLASSCOUNT_CAP and comb(cap + keys, keys) <= _CLASSCOUNT_CAP
 
 
 def _classcount_max(q: int, n: int, t: int,

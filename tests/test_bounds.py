@@ -62,9 +62,20 @@ class TestLower:
         assert rule_value(lower_bounds(3, 4, 1, 2), "balanced-partition") == 12
 
     def test_small_alphabet_fallback(self):
-        entries = lower_bounds(2, 4, 1, 3)
-        assert rule_value(entries, "balanced-partition") == 1
-        assert rule_value(entries, "small-alphabet") == 1
+        # q < k + 1 forces the split x = q - 1, which balanced-partition
+        # reports on its own: one entry, value (q-1)^k q^(n-k-1)
+        assert rule_value(lower_bounds(2, 4, 1, 3), "balanced-partition") == 1
+        for q in range(2, 7):
+            for n in range(2, 11):
+                for t1 in range(1, n):
+                    for t2 in range(t1, n):
+                        k = t2 if t1 + t2 <= n else n - t1
+                        if q >= k + 1:
+                            continue
+                        entries = lower_bounds(q, n, t1, t2)
+                        assert "small-alphabet" not in rules_fired(entries)
+                        assert rule_value(entries, "balanced-partition") == \
+                            (q - 1) ** k * q ** (n - k - 1)
 
     def test_overfull_window_switches_k(self):
         # t1 + t2 > n re-pads from a fully non-overlapping base: k = n - t1
@@ -88,11 +99,6 @@ class TestExact:
         assert exact_values(2, 4, 1, 2).value == 2
         assert exact_values(3, 5, 1, 2).value == 36
         assert exact_values(2, 4, 1, 3) is None
-
-    def test_cached_reduction(self):
-        known = {(2, 6, 1, 3): 6}
-        entry = exact_values(2, 8, 1, 3, known)
-        assert entry is not None and entry.value == 4 * 6
         assert exact_values(2, 8, 1, 3) is None
 
     def test_rounding_helper(self):

@@ -45,6 +45,8 @@ def test_corrupt_rejects_bad_bursts():
         corrupt(s, CorruptionSpec("delete", 3, 2))
     with pytest.raises(ValueError):
         corrupt(s, CorruptionSpec("warp", 0, 1))
+    with pytest.raises(ValueError, match="deletion takes no inserted"):
+        corrupt(s, CorruptionSpec("delete", 1, 1, inserted="1"))
     for inserted, first in (("7", "7"), ("0x2", "x"), ("21", "2")):
         with pytest.raises(ValueError, match=f"symbol '{first}' not in "
                                              "alphabet of size 2"):

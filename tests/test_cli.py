@@ -177,6 +177,24 @@ def test_construct_library_errors_exit_with_one_line(
     assert "more than 10000000 words" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("spec,complaint", [
+    ({"kind": "NonOverlapping", "n": 3, "family": "fam.txt", "k": 1, "t1": 2,
+      "t2": 2}, "NonOverlapping does not read k, t1, t2"),
+    ({"kind": "PadT1T2", "n": 4, "t1": 2, "t2": 3, "family": "fam.txt",
+      "code": "base.txt"}, "PadT1T2 requires a family or a base code, not both"),
+    ({"kind": "PadT1T2", "n": 9, "t1": 2, "t2": 3, "code": "base.txt"},
+     "PadT1T2 n must be the base code length + t1 - 1 = 4, got 9"),
+])
+def test_construct_refuses_fields_its_kind_does_not_read(
+        tmp_path, monkeypatch, family_file, capsys, spec, complaint):
+    monkeypatch.chdir(tmp_path)
+    write_code(code(2, 3, {"001"}), "base.txt")
+    rc, out = run_spec(tmp_path, spec)
+    assert rc == 2
+    assert not out.exists() and not (tmp_path / "report.json").exists()
+    assert capsys.readouterr().err == f"error: {complaint}\n"
+
+
 def test_construct_warning_is_one_line(tmp_path, monkeypatch, capfd):
     monkeypatch.chdir(tmp_path)
     Path("fam3.txt").write_text(
@@ -423,6 +441,10 @@ def test_simulate_records_drawn_insertions_for_replay(tmp_path):
       "edits": [{"kind": "insert", "position": 0, "burst_length": 1,
                  "inserted": "7"}]},
      "inserted symbol '7' not in alphabet of size 2"),
+    ({"message": [0, 1], "window": [2, 3],
+      "edits": [{"kind": "delete", "position": 1, "burst_length": 1,
+                 "inserted": "1"}]},
+     "a deletion takes no inserted symbols"),
 ])
 def test_simulate_rejects_malformed_edits(tmp_path, capsys, edits, complaint):
     code_path = tmp_path / "code.txt"

@@ -314,10 +314,42 @@ def test_missing_field_is_named(kind):
             claimed_windows(spec)
 
 
+# a value of the right type for each optional spec field
+FIELD_VALUES = dict(family=DEPTH3, base_code=code(2, 4, {"0001"}), k=1, t1=1,
+                    t2=1)
+
+
+@pytest.mark.parametrize("kind,field", [
+    (kind, field) for kind in sorted(KINDS) for field in FIELD_VALUES
+    if field not in KIND_EXAMPLES[kind]
+    and not (kind == "PadT1T2" and field in ("family", "base_code"))])
+def test_unread_field_is_refused(kind, field):
+    spec = ConstructionSpec(kind=kind, **KIND_EXAMPLES[kind],
+                            **{field: FIELD_VALUES[field]})
+    for call in (run_construction, claimed_windows):
+        with pytest.raises(ValueError, match=f"^{kind} does not read {field}$"):
+            call(spec)
+
+
 def test_pad_needs_family_or_code():
-    spec = ConstructionSpec(kind="PadT1T2", n=5, t1=2, t2=2)
-    with pytest.raises(ValueError, match="family or a base code"):
-        run_construction(spec)
+    neither = ConstructionSpec(kind="PadT1T2", n=5, t1=2, t2=2)
+    both = ConstructionSpec(kind="PadT1T2", n=5, t1=2, t2=2, family=DEPTH3,
+                            base_code=code(2, 4, {"0001"}))
+    for spec in (neither, both):
+        for call in (run_construction, claimed_windows):
+            with pytest.raises(ValueError, match="family or a base code, "
+                                                 "not both"):
+                call(spec)
+
+
+def test_pad_length_must_follow_the_base_code():
+    base = code(2, 3, {"001"})
+    spec = ConstructionSpec(kind="PadT1T2", n=9, t1=2, t2=3, base_code=base)
+    for call in (run_construction, claimed_windows):
+        with pytest.raises(ValueError, match="= 4, got 9"):
+            call(spec)
+    assert run_construction(ConstructionSpec(
+        kind="PadT1T2", n=4, t1=2, t2=3, base_code=base)).n == 4
 
 
 def test_pad_from_family_matches_layered_base():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from overlapcodes.families import balanced_family, enumerate_families, family
 from overlapcodes.constructions import lift_code, overlap_free_1k
 from overlapcodes.search import (DEFAULT_NODE_BUDGET, SearchBudgetExceeded,
-                                 _best_split, _classcount_feasible,
-                                 _classcount_max,
+                                 _CLASSCOUNT_CAP, _best_split,
+                                 _classcount_feasible, _classcount_max,
                                  _MaxClique, _rectangle_levels_feasible,
                                  _rectangle_max,
                                  all_maximal_from_construction,
@@ -327,6 +327,31 @@ def test_classcount_applicability_is_bounded(window):
     started = time.perf_counter()
     assert not _classcount_feasible(*window)
     assert time.perf_counter() - started < 0.1
+
+
+def looped_classcount_feasible(q, n, t1, t2):
+    """_classcount_feasible with C(cap + keys, keys) built term by term and
+    an exit once it passes the cap: the reference for the closed form."""
+    if t1 != t2 or n >= 2 * t2:
+        return False
+    head = 2 * t2 - n
+    if 2 * head > t2 or t2 - head >= _CLASSCOUNT_CAP.bit_length():
+        return False
+    keys, cap = q ** head, q ** (t2 - head)
+    walk = 1
+    for i in range(1, keys + 1):
+        walk = walk * (cap + i) // i
+        if walk > _CLASSCOUNT_CAP:
+            return False
+    return True
+
+
+def test_classcount_applicability_matches_term_by_term_walk():
+    windows = [(q, n, t, t) for q in range(2, 37) for n in range(2, 40)
+               for t in range(1, n)]
+    assert len(windows) == 25935
+    assert [w for w in windows if _classcount_feasible(*w)] == \
+        [w for w in windows if looped_classcount_feasible(*w)]
 
 
 def test_classcount_applies_on_five_desk_windows():
