@@ -9,7 +9,8 @@ a duplicate into an error instead of a silent dedup.
 One generator, ``_t1t2_terms``, yields the layered terms; the (1, k) code is
 its t1 = 1 case and the non-overlapping code is the (1, n-1) code.  Each
 size formula is an independent oracle that shares its builder's argument
-checks.  ``KINDS`` gives each spec kind its fields, builder and windows.
+checks.  ``KINDS`` gives each spec kind its fields, builder and windows;
+``ConstructionSpec`` checks itself against it once, when it is built.
 ``table_rows`` runs the (1, k) size kernel ``_size_1k`` on the level counts
 of ``families.count_vectors``; it builds no family and runs no search.
 
@@ -23,7 +24,7 @@ or the alphabet, so it builds the code with ``words._trusted_code``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product as iproduct
 from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -311,9 +312,13 @@ def lift_code(c: CodeSet, n: int) -> CodeSet:
                         window=c.window, strict=True, label="lift_code")
 
 
-def project_code(c: CodeSet, t2: int) -> CodeSet:
-    """Delete the middle positions t2+1 .. n-t2 from every word; inverse of
+def project_code(c: CodeSet) -> CodeSet:
+    """Delete the middle positions t2+1 .. n-t2 from every word, t2 from the
+    code's window, which holds on the (maybe fewer) words left; inverse of
     lift_code on lifted codes."""
+    if c.window is None:
+        raise ValueError("project_code: code must declare its overlap window")
+    t2 = c.window[1]
     if c.n <= 2 * t2:
         raise ValueError("project_code: requires block length > 2*t2")
     words = {w[:t2] + w[c.n - t2:] for w in c.words}
@@ -322,21 +327,48 @@ def project_code(c: CodeSet, t2: int) -> CodeSet:
 
 @dataclass(frozen=True)
 class ConstructionSpec:
-    """Uniform driver record for the CLI: which construction, on what family
-    (or base code, for padding), with which window parameters."""
+    """One construction to run; the fields are the keys of a
+    construction_spec.v1.json file, with family and code read.  An invalid
+    spec raises ValueError here, so a spec that exists sets every field its
+    kind needs and no field its kind does not read."""
 
     kind: str
     n: int
     family: PartitionFamily | None = None
-    base_code: CodeSet | None = None
+    code: CodeSet | None = None
     k: int | None = None
     t1: int | None = None
     t2: int | None = None
 
+    def __post_init__(self) -> None:
+        # a str first: a kind read from JSON may be an unhashable list
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {sorted(KINDS)}, "
+                             f"got {self.kind!r}")
+        reads = KINDS[self.kind].fields
+        missing = [name for name in reads if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"{self.kind} requires {', '.join(missing)}")
+        if self.kind == "PadT1T2":
+            # pads one base: the given code, or one built from the family
+            base = self.code
+            if (self.family is None) == (base is None):
+                raise ValueError("PadT1T2 requires a family or a base code, "
+                                 "not both")
+            if base is not None and self.n != base.n + self.t1 - 1:
+                raise ValueError(f"PadT1T2 n must be the base code length + "
+                                 f"t1 - 1 = {base.n + self.t1 - 1}, got {self.n}")
+            reads += ("family", "code")
+        unread = [f.name for f in fields(self) if f.name not in
+                  ("kind", "n", *reads) and getattr(self, f.name) is not None]
+        if unread:
+            raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
+
 
 def _pad_spec(s: ConstructionSpec, **kw) -> CodeSet:
-    base = s.base_code
+    base = s.code
     if base is None:
+        check_window(s.n, s.t1, s.t2)  # the spec's window, not the base's
         base_n = s.n - s.t1 + 1
         base = overlap_free_1k(s.family, base_n, min(s.t2, base_n - 1), **kw)
     return pad_t1t2(base, s.t1, s.t2)
@@ -369,38 +401,11 @@ KINDS: dict[str, Kind] = {
 }
 
 
-def _kind(spec: ConstructionSpec) -> Kind:
-    """The spec's kind, once every field it needs is set and every field it
-    does not read is None."""
-    kind = KINDS.get(spec.kind)
-    if kind is None:
-        raise ValueError(f"unknown construction kind {spec.kind!r}")
-    missing = [name for name in kind.fields if getattr(spec, name) is None]
-    if missing:
-        raise ValueError(f"{spec.kind} requires {', '.join(missing)}")
-    reads = kind.fields
-    if spec.kind == "PadT1T2":
-        # pads exactly one base: the given code, or one built from the family
-        base = spec.base_code
-        if (spec.family is None) == (base is None):
-            raise ValueError("PadT1T2 requires a family or a base code, "
-                             "not both")
-        if base is not None and spec.n != base.n + spec.t1 - 1:
-            raise ValueError(f"PadT1T2 n must be the base code length + t1 - 1 "
-                             f"= {base.n + spec.t1 - 1}, got {spec.n}")
-        reads += ("family", "base_code")
-    unread = [name for name in ("family", "base_code", "k", "t1", "t2")
-              if name not in reads and getattr(spec, name) is not None]
-    if unread:
-        raise ValueError(f"{spec.kind} does not read {', '.join(unread)}")
-    return kind
-
-
 def claimed_windows(spec: ConstructionSpec) -> list[tuple[int, int]]:
     """The overlap windows the construction output is guaranteed to satisfy."""
-    return _kind(spec).windows(spec)
+    return KINDS[spec.kind].windows(spec)
 
 
 def run_construction(spec: ConstructionSpec) -> CodeSet:
     """Strict for every kind but ExpandedT1T2, whose layers may overlap."""
-    return _kind(spec).build(spec, strict=spec.kind != "ExpandedT1T2")
+    return KINDS[spec.kind].build(spec, strict=spec.kind != "ExpandedT1T2")

@@ -184,6 +184,8 @@ def test_construct_library_errors_exit_with_one_line(
       "code": "base.txt"}, "PadT1T2 requires a family or a base code, not both"),
     ({"kind": "PadT1T2", "n": 9, "t1": 2, "t2": 3, "code": "base.txt"},
      "PadT1T2 n must be the base code length + t1 - 1 = 4, got 9"),
+    ({"kind": "NonOverlapping", "n": 3, "family": "fam.txt", "code": "base.txt"},
+     "NonOverlapping does not read code"),
 ])
 def test_construct_refuses_fields_its_kind_does_not_read(
         tmp_path, monkeypatch, family_file, capsys, spec, complaint):

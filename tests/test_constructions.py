@@ -12,6 +12,7 @@ from overlapcodes.constructions import (KINDS, CodeTooLarge, ConstructionSpec,
                                         t1t2_expanded, wmu_expanded, wmu_size)
 from overlapcodes.families import (balanced_family, compositions,
                                    enumerate_families, family)
+from overlapcodes.search import max_code
 from overlapcodes.words import DIGITS, code, verify_overlap_free
 
 EXAMPLE_FAMILY = family(3, [({"0", "1"}, {"2"}), ({"02"}, {"12"})])
@@ -195,7 +196,7 @@ class TestLiftProject:
 
     def test_round_trip(self):
         c = code(2, 4, {"0011", "0001"}, window=(1, 2))
-        assert project_code(lift_code(c, 6), 2).words == c.words
+        assert project_code(lift_code(c, 6)).words == c.words
 
     def test_size_multiplier(self):
         c = code(3, 4, {"0012", "0112"}, window=(1, 2))
@@ -204,6 +205,17 @@ class TestLiftProject:
     def test_requires_window(self):
         with pytest.raises(ValueError):
             lift_code(code(2, 4, {"0011"}), 5)
+
+    def test_projection_keeps_the_window(self):
+        # t2 comes from the window: a (1, 3) code projects to length 6, where
+        # the window still holds, and lifts back to itself
+        c = max_code(2, 8, 1, 3).code
+        projected = project_code(c)
+        assert (projected.n, len(projected), projected.window) == (6, 6, (1, 3))
+        assert_window(projected, 1, 3)
+        assert lift_code(projected, 8) == c
+        with pytest.raises(ValueError, match="must declare its overlap window"):
+            project_code(code(2, 8, c.words))
 
 
 def test_unique_index_within_layered_code():
@@ -306,50 +318,68 @@ def test_every_kind_verifies_its_claimed_windows(kind):
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_missing_field_is_named(kind):
     for field in KINDS[kind].fields:
-        spec = ConstructionSpec(kind=kind, **{
-            **KIND_EXAMPLES[kind], field: None})
         with pytest.raises(ValueError, match=f"{kind} requires {field}"):
-            run_construction(spec)
-        with pytest.raises(ValueError, match=field):
-            claimed_windows(spec)
+            ConstructionSpec(kind=kind, **{**KIND_EXAMPLES[kind], field: None})
 
 
 # a value of the right type for each optional spec field
-FIELD_VALUES = dict(family=DEPTH3, base_code=code(2, 4, {"0001"}), k=1, t1=1,
-                    t2=1)
+FIELD_VALUES = dict(family=DEPTH3, code=code(2, 4, {"0001"}), k=1, t1=1, t2=1)
 
 
 @pytest.mark.parametrize("kind,field", [
     (kind, field) for kind in sorted(KINDS) for field in FIELD_VALUES
     if field not in KIND_EXAMPLES[kind]
-    and not (kind == "PadT1T2" and field in ("family", "base_code"))])
+    and not (kind == "PadT1T2" and field in ("family", "code"))])
 def test_unread_field_is_refused(kind, field):
-    spec = ConstructionSpec(kind=kind, **KIND_EXAMPLES[kind],
-                            **{field: FIELD_VALUES[field]})
-    for call in (run_construction, claimed_windows):
-        with pytest.raises(ValueError, match=f"^{kind} does not read {field}$"):
-            call(spec)
+    with pytest.raises(ValueError, match=f"^{kind} does not read {field}$"):
+        ConstructionSpec(kind=kind, **KIND_EXAMPLES[kind],
+                         **{field: FIELD_VALUES[field]})
 
 
 def test_pad_needs_family_or_code():
-    neither = ConstructionSpec(kind="PadT1T2", n=5, t1=2, t2=2)
-    both = ConstructionSpec(kind="PadT1T2", n=5, t1=2, t2=2, family=DEPTH3,
-                            base_code=code(2, 4, {"0001"}))
-    for spec in (neither, both):
-        for call in (run_construction, claimed_windows):
-            with pytest.raises(ValueError, match="family or a base code, "
-                                                 "not both"):
-                call(spec)
+    neither = {}
+    both = dict(family=DEPTH3, code=code(2, 4, {"0001"}))
+    for sources in (neither, both):
+        with pytest.raises(ValueError, match="family or a base code, "
+                                             "not both"):
+            ConstructionSpec(kind="PadT1T2", n=5, t1=2, t2=2, **sources)
 
 
 def test_pad_length_must_follow_the_base_code():
     base = code(2, 3, {"001"})
-    spec = ConstructionSpec(kind="PadT1T2", n=9, t1=2, t2=3, base_code=base)
-    for call in (run_construction, claimed_windows):
-        with pytest.raises(ValueError, match="= 4, got 9"):
-            call(spec)
+    with pytest.raises(ValueError, match="= 4, got 9"):
+        ConstructionSpec(kind="PadT1T2", n=9, t1=2, t2=3, code=base)
     assert run_construction(ConstructionSpec(
-        kind="PadT1T2", n=4, t1=2, t2=3, base_code=base)).n == 4
+        kind="PadT1T2", n=4, t1=2, t2=3, code=base)).n == 4
+
+
+@pytest.mark.parametrize("n,t", [(3, 3), (2, 2)])
+def test_pad_from_family_names_the_spec_window(n, t):
+    # the base built from the family would have length n - t + 1 = 1
+    spec = ConstructionSpec(kind="PadT1T2", n=n, family=DEPTH3, t1=t, t2=t)
+    with pytest.raises(ValueError, match=f"^overlap window must satisfy "
+                                         f"1 <= t1 <= t2 <= n-1, got t1={t}, "
+                                         f"t2={t}, n={n}$"):
+        run_construction(spec)
+
+
+def test_valid_spec_is_checked_once_at_construction(monkeypatch):
+    calls = []
+    real = ConstructionSpec.__post_init__
+
+    def counting(spec):
+        calls.append(spec.kind)
+        return real(spec)
+
+    monkeypatch.setattr(ConstructionSpec, "__post_init__", counting)
+    for kind in sorted(KINDS):
+        spec = ConstructionSpec(kind=kind, **KIND_EXAMPLES[kind])
+        assert calls == [kind]
+        # consumers take the spec's validity from its type
+        claimed_windows(spec)
+        run_construction(spec)
+        assert calls == [kind]
+        calls.clear()
 
 
 def test_pad_from_family_matches_layered_base():
