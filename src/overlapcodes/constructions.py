@@ -9,8 +9,9 @@ a duplicate into an error instead of a silent dedup.
 One generator, ``_t1t2_terms``, yields the layered terms; the (1, k) code is
 its t1 = 1 case and the non-overlapping code is the (1, n-1) code.  Each
 size formula is an independent oracle that shares its builder's argument
-checks.  ``KINDS`` gives each spec kind its fields, builder and windows;
-``ConstructionSpec`` checks itself against it once, when it is built.
+checks.  ``KINDS`` gives each spec kind its fields, builder, windows and the
+builder's argument check; ``ConstructionSpec`` checks itself against it
+once, when it is built.
 ``table_rows`` runs the (1, k) size kernel ``_size_1k`` on the level counts
 of ``families.count_vectors``; it builds no family and runs no search.
 
@@ -109,18 +110,21 @@ def _t1t2_terms(f: PartitionFamily, n: int, t1: int, t2: int,
                         yield head + (left[j], right[s - j]) + tail
 
 
+def _check_length(n: int) -> None:
+    if n < 2:
+        raise ValueError("block length must be >= 2")
+
+
 def non_overlapping(f: PartitionFamily, n: int, *,
                     strict: bool = False) -> CodeSet:
     """The layered code ``union(L_i R_{n-i} for i in [1, n-1])``; it is
     overlap-free on the whole window (1, n-1)."""
-    if n < 2:
-        raise ValueError("block length must be >= 2")
+    _check_length(n)
     return overlap_free_1k(f, n, n - 1, strict=strict)
 
 
 def non_overlapping_size(f: PartitionFamily, n: int) -> int:
-    if n < 2:
-        raise ValueError("block length must be >= 2")
+    _check_length(n)
     return code_size_1k(f, n, n - 1)
 
 
@@ -330,7 +334,8 @@ class ConstructionSpec:
     """One construction to run; the fields are the keys of a
     construction_spec.v1.json file, with family and code read.  An invalid
     spec raises ValueError here, so a spec that exists sets every field its
-    kind needs and no field its kind does not read."""
+    kind needs, no field its kind does not read, and arguments its builder
+    accepts (the builder's own check, with its text)."""
 
     kind: str
     n: int
@@ -363,14 +368,31 @@ class ConstructionSpec:
                   ("kind", "n", *reads) and getattr(self, f.name) is not None]
         if unread:
             raise ValueError(f"{self.kind} does not read {', '.join(unread)}")
+        KINDS[self.kind].check(self)
+
+
+def _check_non_overlapping_spec(s: ConstructionSpec) -> None:
+    _check_length(s.n)
+    _check_terms(s.family, s.n, 1, s.n - 1, "overlap_free_1k")
+
+
+def _pad_base_window(s: ConstructionSpec) -> tuple[int, int]:
+    """(n, t2) of the (1, t2) base a PadT1T2 spec builds from its family."""
+    base_n = s.n - s.t1 + 1
+    return base_n, min(s.t2, base_n - 1)
+
+
+def _check_pad_spec(s: ConstructionSpec) -> None:
+    check_window(s.n, s.t1, s.t2)  # the spec's window, not the base's
+    if s.family is not None:
+        base_n, base_t2 = _pad_base_window(s)
+        _check_terms(s.family, base_n, 1, base_t2, "overlap_free_1k")
 
 
 def _pad_spec(s: ConstructionSpec, **kw) -> CodeSet:
     base = s.code
     if base is None:
-        check_window(s.n, s.t1, s.t2)  # the spec's window, not the base's
-        base_n = s.n - s.t1 + 1
-        base = overlap_free_1k(s.family, base_n, min(s.t2, base_n - 1), **kw)
+        base = overlap_free_1k(s.family, *_pad_base_window(s), **kw)
     return pad_t1t2(base, s.t1, s.t2)
 
 
@@ -378,26 +400,32 @@ class Kind(NamedTuple):
     fields: tuple[str, ...]  # spec fields that must not be None
     build: Callable[..., CodeSet]  # (spec, *, strict)
     windows: Callable[[ConstructionSpec], list[tuple[int, int]]]
+    check: Callable[[ConstructionSpec], None]  # the builder's argument check
 
 
 KINDS: dict[str, Kind] = {
     "NonOverlapping": Kind(
         ("family",), lambda s, **kw: non_overlapping(s.family, s.n, **kw),
-        lambda s: [(1, s.n - 1)]),
+        lambda s: [(1, s.n - 1)], _check_non_overlapping_spec),
     "OneK": Kind(
         ("family", "k"), lambda s, **kw: overlap_free_1k(s.family, s.n, s.k, **kw),
-        lambda s: [(1, s.k)]),
+        lambda s: [(1, s.k)],
+        lambda s: _check_terms(s.family, s.n, 1, s.k, "overlap_free_1k")),
     "WMU": Kind(
         ("family", "k"), lambda s, **kw: wmu_expanded(s.family, s.n, s.k, **kw),
-        lambda s: [(s.k + 1, s.n + s.k - 1)]),
-    "PadT1T2": Kind(("t1", "t2"), _pad_spec, lambda s: [(s.t1, s.t2)]),
+        lambda s: [(s.k + 1, s.n + s.k - 1)],
+        lambda s: _check_wmu(s.family, s.n, s.k, "wmu_expanded")),
+    "PadT1T2": Kind(("t1", "t2"), _pad_spec, lambda s: [(s.t1, s.t2)],
+                    _check_pad_spec),
     "ExpandedT1T2": Kind(
         ("family", "t1", "t2"),
         lambda s, **kw: t1t2_expanded(s.family, s.n, s.t1, s.t2, **kw),
-        lambda s: [(s.t1, s.t2)]),
+        lambda s: [(s.t1, s.t2)],
+        lambda s: _check_terms(s.family, s.n, s.t1, s.t2, "t1t2_expanded")),
     "Simultaneous": Kind(
         ("family", "k"), lambda s, **kw: simultaneous(s.family, s.n, s.k, **kw),
-        lambda s: [(1, s.k), (s.n - s.k, s.n - 1)]),
+        lambda s: [(1, s.k), (s.n - s.k, s.n - 1)],
+        lambda s: _check_simultaneous(s.family, s.n, s.k, "simultaneous")),
 }
 
 

@@ -18,6 +18,7 @@ splits of its remaining words, enumerated lazily.
 
 ``count_vectors`` walks level-count vectors as integer lists and builds no
 family: every size formula reads only the counts |L_i| and |R_i|.
+``representative_family`` builds one family of a vector, for a witness.
 """
 
 from __future__ import annotations
@@ -188,6 +189,30 @@ def count_vectors(q: int, k: int) -> Iterator[tuple[list[int], list[int], int]]:
 
     return (vector for m in range(1, q)
             for vector in extend([0, m], [0, q - m], comb(q, m)))
+
+
+def representative_family(q: int, left: Sequence[int]) -> PartitionFamily:
+    """The family of the count vector left (left[0] = 0, left[i] = |L_i|,
+    as ``count_vectors`` yields it) whose L_i is the first left[i] words of
+    level i's sorted ground set: the alphabet, then ``concat_layer``.
+
+    It is valid, so it is built without ``validate``.  Level 1 takes
+    1 <= left[1] <= q-1 symbols (checked here), so L_1 and R_1 are
+    non-empty and partition the alphabet.  Every later level takes
+    0 <= left[i] <= |ground| words (checked here) of its ground set and R_i
+    is the rest, so L_i and R_i are disjoint and their union is the
+    concatenation layer, the only clauses ``validate`` asks of them."""
+    _check_depth(q, len(left) - 1)
+    levels: list[Pair] = []
+    for i in range(1, len(left)):
+        ground = sorted(concat_layer(levels, i) if i > 1 else DIGITS[:q])
+        lo, hi = (1, q - 1) if i == 1 else (0, len(ground))
+        if not lo <= left[i] <= hi:
+            raise ValueError(f"|L{i}| must be in [{lo}, {hi}], "
+                             f"got {left[i]}")
+        levels.append((frozenset(ground[:left[i]]),
+                       frozenset(ground[left[i]:])))
+    return _trusted_family(q, levels)
 
 
 Side = Literal["R_empty", "L_empty"]

@@ -2,9 +2,22 @@
 family-level maximality certificate.
 
 A (t1, t2)-overlap-free code is exactly a clique in the compatibility graph
-whose vertices are the self-compatible words.  Three exact engines cover the
+whose vertices are the self-compatible words.  Four exact engines cover the
 desk-scale parameter space, and ``max_code`` takes the first that applies:
 
+* ``family``     - for t1 = 1 and n < 2*t2 = 2k, a closed form: every
+                   maximal (1, k)-overlap-free code with k >= n/2 is the
+                   layered construction on the family derived from its
+                   prefixes (the paper's characterisation, completing Cai,
+                   Wang and Feng 2023), so the maximum is the largest
+                   ``_size_1k`` over the depth-k level-count vectors.  For
+                   n < 2k the composition weights stop at n-k-1 < k and the
+                   deepest count l_k appears only in |L_k| |R_{s-k}| and
+                   |L_{s-k}| (g_k - l_k): the size is affine in l_k, so each
+                   depth-(k-1) vector of ``families.count_vectors`` is
+                   closed at l_k = 0 and l_k = g_k.  One node is one
+                   depth-(k-1) vector; the witness is the layered code on
+                   ``families.representative_family`` of the best vector.
 * ``classcount`` - for t1 = t2 = t and n < 2t a code is a split of Sigma^t
                    into prefix and suffix sides; once the number of prefix
                    strings per head key is fixed, each head key fills the
@@ -26,8 +39,8 @@ desk-scale parameter space, and ``max_code`` takes the first that applies:
 
 Each engine's witness is a list of concatenation terms of length n, which
 ``max_code`` fills with ``constructions._materialize`` (capped at
-``MAX_WORDS``); ``build_graph`` caps its universe at ``VERTEX_CAP`` words.
-Both caps raise ``CodeTooLarge``.  ``build_graph`` slices each vertex once,
+``MAX_WORDS``); ``build_graph`` and the family engine cap the universe
+Sigma^n at ``VERTEX_CAP`` words.  Both caps raise ``CodeTooLarge``.  ``build_graph`` slices each vertex once,
 at level t2, and derives the lower levels' prefix and suffix masks from the
 level above, as ``words.prefix_suffix_levels`` does for sets; its docstring
 shows why the rows equal one pass over the vertices per level.
@@ -49,8 +62,10 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .constructions import (CodeTooLarge, _alphabet_factors, _lift_terms,
-                            _materialize, overlap_free_1k)
-from .families import PartitionFamily, family_from_code
+                            _materialize, _size_1k, _t1t2_terms,
+                            overlap_free_1k)
+from .families import (PartitionFamily, count_vectors, family_from_code,
+                       representative_family)
 from .words import (CodeSet, _trusted_code, all_words, check_alphabet,
                     check_window, prefix_suffix_levels, verify_overlap_free)
 
@@ -117,6 +132,14 @@ class CompatibilityGraph:
         return cand
 
 
+def _check_vertex_cap(q: int, n: int) -> None:
+    """Raise CodeTooLarge when Sigma^n holds more than VERTEX_CAP words; an
+    n past the cap's bit length is over it for every q >= 2."""
+    if n >= VERTEX_CAP.bit_length() or q ** n > VERTEX_CAP:
+        raise CodeTooLarge(f"universe of {q}^{n} words exceeds vertex cap "
+                           f"{VERTEX_CAP}")
+
+
 def build_graph(q: int, n: int, t1: int, t2: int) -> CompatibilityGraph:
     """Vertices: self-compatible words in lexicographic order.  Edge absent
     iff some t in [t1, t2] makes a prefix of one word a suffix of the other,
@@ -135,9 +158,7 @@ def build_graph(q: int, n: int, t1: int, t2: int) -> CompatibilityGraph:
     the bit of w_i: the same rows as one pass over the vertices per level."""
     check_alphabet(q)
     check_window(n, t1, t2)
-    if q ** n > VERTEX_CAP:
-        raise CodeTooLarge(f"universe of {q}^{n} words exceeds vertex cap "
-                           f"{VERTEX_CAP}")
+    _check_vertex_cap(q, n)
     verts = list(all_words(q, n))
     for t in range(t1, t2 + 1):
         verts = [w for w in verts if w[:t] != w[n - t:]]
@@ -372,6 +393,26 @@ def _classcount_max(q: int, n: int, t: int,
                       for k in keys]
 
 
+def _family_max(q: int, n: int, k: int, node_budget: int,
+                ) -> tuple[int, list[int] | None, int, bool]:
+    """(size, left counts, nodes, exact) of the largest (1, k) layered code
+    at length n < 2k: each depth-(k-1) vector is one node, closed at both
+    ends of l_k (module docstring).  The first maximum in walk order is
+    kept.  Past node_budget nodes the walk stops inexact with the best so
+    far, which is no vector (size 0) at budget 0."""
+    best, best_left, nodes = 0, None, 0
+    for left, right, _ in count_vectors(q, k - 1):
+        nodes += 1
+        if nodes > node_budget:
+            return best, best_left, nodes, False
+        g = sum(left[j] * right[k - j] for j in range(1, k))
+        for top in (0, g):
+            size = _size_1k(left + [top], right + [g - top], n, k)
+            if best_left is None or size > best:
+                best, best_left = size, left + [top]
+    return best, best_left, nodes, True
+
+
 @dataclass(frozen=True)
 class SearchResult:
     size: int
@@ -384,13 +425,19 @@ class SearchResult:
 def max_code(q: int, n: int, t1: int, t2: int, *,
              node_budget: int = DEFAULT_NODE_BUDGET) -> SearchResult:
     """A maximum (t1, t2)-overlap-free code, exact unless the node budget is
-    exhausted.  Takes classcount, then rectangle, where they apply, and else
-    quotient.  Raises CodeTooLarge when the graph or the witness would pass
-    its cap."""
+    exhausted.  Takes family (t1 = 1, n < 2*t2), then classcount, then
+    rectangle, where they apply, and else quotient.  Raises CodeTooLarge
+    when the universe, the graph or the witness would pass its cap."""
     check_alphabet(q)
     check_window(n, t1, t2)
     nodes, exact, base_n = 0, True, n
-    if _classcount_feasible(q, n, t1, t2):
+    if t1 == 1 and n < 2 * t2:
+        _check_vertex_cap(q, n)
+        value, left, nodes, exact = _family_max(q, n, t2, node_budget)
+        terms = ([] if left is None else
+                 _t1t2_terms(representative_family(q, left), n, 1, t2))
+        used = "family"
+    elif _classcount_feasible(q, n, t1, t2):
         value, terms = _classcount_max(q, n, t2)
         used = "classcount"
     elif n >= 2 * t2 and _rectangle_levels_feasible(q, t1, t2):

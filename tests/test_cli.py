@@ -197,6 +197,21 @@ def test_construct_refuses_fields_its_kind_does_not_read(
     assert capsys.readouterr().err == f"error: {complaint}\n"
 
 
+@pytest.mark.parametrize("spec,complaint", [
+    ({"kind": "OneK", "n": 4, "k": 7, "family": "fam.txt"},
+     "overlap window must satisfy 1 <= t1 <= t2 <= n-1, got t1=1, t2=7, n=4"),
+    ({"kind": "WMU", "n": 3, "k": 5, "family": "fam.txt"},
+     "wmu_expanded: k must satisfy 0 <= k <= n-2"),
+])
+def test_construct_refuses_arguments_its_builder_refuses(
+        tmp_path, monkeypatch, family_file, capsys, spec, complaint):
+    monkeypatch.chdir(tmp_path)
+    rc, out = run_spec(tmp_path, spec)
+    assert rc == 2
+    assert not out.exists() and not (tmp_path / "report.json").exists()
+    assert capsys.readouterr().err == f"error: {complaint}\n"
+
+
 def test_construct_warning_is_one_line(tmp_path, monkeypatch, capfd):
     monkeypatch.chdir(tmp_path)
     Path("fam3.txt").write_text(

@@ -345,6 +345,41 @@ def test_pad_needs_family_or_code():
             ConstructionSpec(kind="PadT1T2", n=5, t1=2, t2=2, **sources)
 
 
+# specs on PAD_FAMILY whose builder refuses their arguments, each with that
+# builder call and its text; claimed_windows once answered for all of them
+BUILDER_REFUSALS = [
+    (dict(kind="OneK", n=4, k=7), lambda f: overlap_free_1k(f, 4, 7),
+     "overlap window must satisfy 1 <= t1 <= t2 <= n-1, got t1=1, t2=7, n=4"),
+    (dict(kind="Simultaneous", n=4, k=3), lambda f: simultaneous(f, 4, 3),
+     "simultaneous: requires 1 <= k < n/2"),
+    (dict(kind="WMU", n=3, k=5), lambda f: wmu_expanded(f, 3, 5),
+     "wmu_expanded: k must satisfy 0 <= k <= n-2"),
+    (dict(kind="ExpandedT1T2", n=4, t1=3, t2=2),
+     lambda f: t1t2_expanded(f, 4, 3, 2),
+     "overlap window must satisfy 1 <= t1 <= t2 <= n-1, got t1=3, t2=2, n=4"),
+    (dict(kind="NonOverlapping", n=1), lambda f: non_overlapping(f, 1),
+     "block length must be >= 2"),
+    (dict(kind="NonOverlapping", n=5), lambda f: non_overlapping(f, 5),
+     "overlap_free_1k: family depth 2 < required 4"),
+    # the base of a padded length-7 code is the (1, 2) code of length 6
+    (dict(kind="PadT1T2", n=7, t1=2, t2=2),
+     lambda f: overlap_free_1k(f, 6, 2),
+     "overlap_free_1k: family depth 2 < required 3"),
+]
+
+
+@pytest.mark.parametrize("spec,build,complaint", BUILDER_REFUSALS,
+                         ids=[f"{s['kind']}-n{s['n']}"
+                              for s, _, _ in BUILDER_REFUSALS])
+def test_spec_refuses_what_its_builder_refuses(spec, build, complaint):
+    # claimed_windows cannot answer for a spec that run_construction refuses
+    with pytest.raises(ValueError) as built:
+        build(PAD_FAMILY)
+    with pytest.raises(ValueError) as refused:
+        ConstructionSpec(family=PAD_FAMILY, **spec)
+    assert str(refused.value) == str(built.value) == complaint
+
+
 def test_pad_length_must_follow_the_base_code():
     base = code(2, 3, {"001"})
     with pytest.raises(ValueError, match="= 4, got 9"):
@@ -355,12 +390,12 @@ def test_pad_length_must_follow_the_base_code():
 
 @pytest.mark.parametrize("n,t", [(3, 3), (2, 2)])
 def test_pad_from_family_names_the_spec_window(n, t):
-    # the base built from the family would have length n - t + 1 = 1
-    spec = ConstructionSpec(kind="PadT1T2", n=n, family=DEPTH3, t1=t, t2=t)
+    # the base built from the family would have length n - t + 1 = 1; the
+    # spec refuses its own window when it is built
     with pytest.raises(ValueError, match=f"^overlap window must satisfy "
                                          f"1 <= t1 <= t2 <= n-1, got t1={t}, "
                                          f"t2={t}, n={n}$"):
-        run_construction(spec)
+        ConstructionSpec(kind="PadT1T2", n=n, family=DEPTH3, t1=t, t2=t)
 
 
 def test_valid_spec_is_checked_once_at_construction(monkeypatch):

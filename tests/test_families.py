@@ -12,7 +12,8 @@ from overlapcodes.constructions import (_size_1k, code_size_1k,
 from overlapcodes.families import (PartitionFamily, balanced_family,
                                    compositions, concat_layer, count_vectors,
                                    decompose, enumerate_families, family,
-                                   family_from_code, validate)
+                                   family_from_code, representative_family,
+                                   validate)
 from overlapcodes.search import enumerate_maximal_codes, maximality_certificate
 from overlapcodes.words import DIGITS, code, verify_overlap_free
 
@@ -376,3 +377,27 @@ def test_count_vectors_pinned_past_enumeration(q, k, vectors, shares):
         count += 1
         total += shared
     assert (count, total) == (vectors, shares)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_representative_family_is_the_strict_build_of_its_vector(k):
+    for left, right, _ in count_vectors(3, k):
+        rep = representative_family(3, left)
+        assert PartitionFamily(3, rep.levels) == rep  # the strict build
+        assert [0, *(len(l) for l, _ in rep.levels)] == left
+        assert [0, *(len(r) for _, r in rep.levels)] == right
+        # L_i is a prefix of the sorted ground set: the first |L_i| words
+        assert all(x < y for i in range(1, k + 1)
+                   for x in rep.left(i) for y in rep.right(i))
+
+
+@pytest.mark.parametrize("left,complaint", [
+    ([0, 0], r"^\|L1\| must be in \[1, 2\], got 0$"),
+    ([0, 3], r"^\|L1\| must be in \[1, 2\], got 3$"),
+    ([0, 1, 3], r"^\|L2\| must be in \[0, 2\], got 3$"),
+    ([0], "depth must be >= 1"),
+])
+def test_representative_family_refuses_counts_outside_the_ground(left,
+                                                                 complaint):
+    with pytest.raises(ValueError, match=complaint):
+        representative_family(3, left)

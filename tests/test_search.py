@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlapcodes.families import balanced_family, enumerate_families, family
-from overlapcodes.constructions import lift_code, overlap_free_1k
+from overlapcodes.families import (balanced_family, count_vectors,
+                                   enumerate_families, family)
+from overlapcodes.constructions import _size_1k, lift_code, overlap_free_1k
 from overlapcodes.search import (DEFAULT_NODE_BUDGET, SearchBudgetExceeded,
                                  _CLASSCOUNT_CAP, _best_split,
                                  _classcount_feasible, _classcount_max,
-                                 _MaxClique, _rectangle_levels_feasible,
+                                 _family_max, _MaxClique,
+                                 _rectangle_levels_feasible,
                                  _rectangle_max,
                                  all_maximal_from_construction,
                                  binary_edge_check, build_graph,
@@ -149,7 +151,8 @@ def test_witness_images_under_symbol_permutation_and_reversal():
     # overlap-free codes of the same size; one window per engine
     for window, method in [((3, 5, 3, 3), "classcount"),
                            ((3, 6, 2, 2), "rectangle"),
-                           ((3, 5, 2, 3), "quotient")]:
+                           ((3, 5, 2, 3), "quotient"),
+                           ((3, 6, 1, 5), "family")]:
         r = max_code(*window)
         assert (r.method, len(r.code)) == (method, r.size)
         for perm in permutations("012"):
@@ -199,6 +202,64 @@ def test_free_middle_window_answers_without_the_full_graph():
     assert (r.size, r.exact, r.method) == (6256, False, "quotient")
     assert len(r.code.words) == 6256
     assert verify_overlap_free(r.code, 1, 3) is None
+
+
+FAMILY_WINDOWS = [(q, n, 1, k) for q, n_max in ((2, 7), (3, 6))
+                  for n in range(3, n_max + 1) for k in range(n // 2 + 1, n)]
+
+
+def test_family_equals_exact_clique_search():
+    # every t1 = 1, n < 2*t2 window with q = 2, n <= 7 or q = 3, n <= 6
+    assert len(FAMILY_WINDOWS) == 15
+    for window in FAMILY_WINDOWS:
+        r = max_code(*window)
+        size, _, _, exact = clique_search(*window)
+        assert exact, window
+        assert (r.method, r.exact, r.size) == ("family", True, size), window
+
+
+def full_vector_max(q, n, k):
+    """The first maximum of _size_1k over every depth-k count vector, each
+    value of the deepest count included: the walk the endpoint closure
+    replaced.  (size, left counts)."""
+    best, best_left = -1, None
+    for left, right, _ in count_vectors(q, k):
+        size = _size_1k(left, right, n, k)
+        if size > best:
+            best, best_left = size, left
+    return best, best_left
+
+
+@pytest.mark.parametrize("q,k", [(q, k) for q, k_max in ((2, 6), (3, 4), (4, 3))
+                                 for k in range(2, k_max + 1)])
+def test_endpoint_walk_equals_the_full_vector_walk(q, k):
+    vectors = sum(1 for _ in count_vectors(q, k - 1))
+    for n in range(k + 1, 2 * k):
+        size, left, nodes, exact = _family_max(q, n, k, DEFAULT_NODE_BUDGET)
+        assert (nodes, exact) == (vectors, True)
+        assert (size, left) == full_vector_max(q, n, k), n
+
+
+@pytest.mark.parametrize("window,size", [((2, 11, 1, 10), 44),
+                                         ((3, 7, 1, 5), 140),
+                                         ((3, 7, 1, 6), 99),
+                                         ((4, 6, 1, 5), 251)])
+def test_family_is_exact_beyond_the_search(window, size):
+    # the branch and bound stops short of every one at 50k nodes
+    r = max_code(*window)
+    assert (r.method, r.exact, r.size, len(r.code)) == ("family", True, size,
+                                                        size)
+    assert verify_overlap_free(r.code, *window[2:]) is None
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5])
+def test_family_budget_exhaustion_flags_inexact(budget):
+    # (3, 6, 1, 5) walks 146 depth-4 vectors; budget 0 walks none
+    r = max_code(3, 6, 1, 5, node_budget=budget)
+    assert (r.method, r.exact, r.nodes) == ("family", False, budget + 1)
+    assert len(r.code) == r.size <= 41
+    assert (r.size == 0) == (budget == 0)
+    assert verify_overlap_free(r.code, 1, 5) is None
 
 
 def brute_split(u, shared, v):

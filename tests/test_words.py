@@ -268,7 +268,7 @@ def test_trusted_builds_equal_strict_builds():
             assert_strict(lifted)
             assert_strict(project_code(lifted))
             assert project_code(lifted) == r.code
-    assert methods == {"quotient", "rectangle", "classcount"}
+    assert methods == {"quotient", "rectangle", "classcount", "family"}
     # maximal codes of the Bron-Kerbosch walk, and greedy completion
     graph = build_graph(3, 4, 1, 2)
     for c in enumerate_maximal_codes(3, 4, 1, 2, graph=graph):
