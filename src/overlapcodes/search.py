@@ -40,10 +40,11 @@ desk-scale parameter space, and ``max_code`` takes the first that applies:
 Each engine's witness is a list of concatenation terms of length n, which
 ``max_code`` fills with ``constructions._materialize`` (capped at
 ``MAX_WORDS``); ``build_graph`` and the family engine cap the universe
-Sigma^n at ``VERTEX_CAP`` words.  Both caps raise ``CodeTooLarge``.  ``build_graph`` slices each vertex once,
-at level t2, and derives the lower levels' prefix and suffix masks from the
-level above, as ``words.prefix_suffix_levels`` does for sets; its docstring
-shows why the rows equal one pass over the vertices per level.
+Sigma^n at ``VERTEX_CAP`` words.  Both caps raise ``CodeTooLarge``.
+``build_graph`` slices each vertex once, at level t2, and derives the lower
+levels' prefix and suffix masks from the level above, as
+``words.prefix_suffix_levels`` does for sets; its docstring shows why the
+rows equal one pass over the vertices per level.
 
 Bit convention.  A mask over a ``CompatibilityGraph`` with m vertices puts
 vertex i at bit m-1-i, in ``build_graph``'s rows and in every mask a

@@ -89,7 +89,8 @@ def test_table_base_max_is_exact_search_maximum(q, m_max):
         size, _, _, exact = _MaxClique(build_graph(q, m, 1, m - 1),
                                        DEFAULT_NODE_BUDGET).solve()
         assert exact and size == row["base_max"], (q, m)
-        assert max_code(q, m, 1, m - 1).size == size, (q, m)
+        result = max_code(q, m, 1, m - 1)
+        assert result.exact and result.size == size, (q, m)
 
 
 def test_criterion_04_table2_rows():
