@@ -241,17 +241,22 @@ def wmu_size(f: PartitionFamily, n: int, k: int) -> int:
                if n <= i + j <= n + k)
 
 
+def _check_pad_base(x: CodeSet, t2: int) -> None:
+    """Refuse a pad base that is not (1, min(t2, x.n - 1))-overlap-free."""
+    base_t2 = min(t2, x.n - 1)
+    witness = verify_overlap_free(x, 1, base_t2)
+    if witness is not None:
+        raise ValueError(f"pad_t1t2: base code is not "
+                         f"(1,{base_t2})-overlap-free: {witness}")
+
+
 def pad_t1t2(x: CodeSet, t1: int, t2: int) -> CodeSet:
     """Append t1-1 free symbols to a (1, t2)-overlap-free code (a fully
     non-overlapping one when t2 reaches past the base length); the result is
     (t1, t2)-overlap-free at length ``x.n + t1 - 1``."""
     n = x.n + t1 - 1
     check_window(n, t1, t2)
-    base_t2 = min(t2, x.n - 1)
-    witness = verify_overlap_free(x, 1, base_t2)
-    if witness is not None:
-        raise ValueError(f"pad_t1t2: base code is not "
-                         f"(1,{base_t2})-overlap-free: {witness}")
+    _check_pad_base(x, t2)
     terms = [(frozenset(x.words),) + _alphabet_factors(x.q, t1 - 1)]
     return _materialize(terms, q=x.q, n=n, window=(t1, t2), strict=True,
                         label="pad_t1t2")
@@ -384,7 +389,9 @@ def _pad_base_window(s: ConstructionSpec) -> tuple[int, int]:
 
 def _check_pad_spec(s: ConstructionSpec) -> None:
     check_window(s.n, s.t1, s.t2)  # the spec's window, not the base's
-    if s.family is not None:
+    if s.code is not None:
+        _check_pad_base(s.code, s.t2)
+    else:
         base_n, base_t2 = _pad_base_window(s)
         _check_terms(s.family, base_n, 1, base_t2, "overlap_free_1k")
 

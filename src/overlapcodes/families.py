@@ -7,7 +7,11 @@ generate every code construction in this package.
 
 Validity is a constructor invariant: ``PartitionFamily`` raises on the
 first level ``validate`` rejects, so no consumer checks a family again.
-Builders that prove every level constraint use ``_trusted_family``.
+``_trusted_family`` skips ``validate`` and has two callers, each of which
+proves every level constraint.  ``_grow`` is the one loop that derives a
+family level by level, taking each L_i inside its ground set, and holds the
+validity proof of ``representative_family``, ``balanced_family`` and
+``family_from_code``.  ``enumerate_families`` is the other caller.
 
 ``enumerate_families`` fills levels left to right, computing each next
 level's sorted ground set once per parent.  Each split of a ground set is
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .words import (DIGITS, CodeSet, _overlap_scan, _unchecked,
                     check_alphabet, check_word)
@@ -191,28 +195,43 @@ def count_vectors(q: int, k: int) -> Iterator[tuple[list[int], list[int], int]]:
             for vector in extend([0, m], [0, q - m], comb(q, m)))
 
 
+def _grow(q: int, k: int, take: Callable[[int, set[str]], Iterable[str]],
+          ) -> PartitionFamily:
+    """The depth-k family whose level i is (L_i, ground - L_i) for
+    L_i = take(i, ground), which must be a subset of level i's ground set:
+    the alphabet at level 1, ``concat_layer`` of the levels before it after.
+
+    This is the one validity proof of the derived families.  The caller
+    checked q and k (``_check_depth``).  At every level L_i and R_i split
+    the ground set, so they are disjoint and their union is the alphabet or
+    the concatenation layer.  The one clause of ``validate`` left is that
+    L_1 and R_1 are non-empty, tested here: a family with both is built
+    without ``validate``, any other goes through the strict constructor,
+    which raises ``invalid partition family: level 1: ...``."""
+    levels: list[Pair] = []
+    for i in range(1, k + 1):
+        ground = concat_layer(levels, i) if i > 1 else set(DIGITS[:q])
+        left = frozenset(take(i, ground))
+        levels.append((left, frozenset(ground - left)))
+    l1, r1 = levels[0]
+    return (_trusted_family if l1 and r1 else PartitionFamily)(q, tuple(levels))
+
+
 def representative_family(q: int, left: Sequence[int]) -> PartitionFamily:
     """The family of the count vector left (left[0] = 0, left[i] = |L_i|,
     as ``count_vectors`` yields it) whose L_i is the first left[i] words of
-    level i's sorted ground set: the alphabet, then ``concat_layer``.
-
-    It is valid, so it is built without ``validate``.  Level 1 takes
-    1 <= left[1] <= q-1 symbols (checked here), so L_1 and R_1 are
-    non-empty and partition the alphabet.  Every later level takes
-    0 <= left[i] <= |ground| words (checked here) of its ground set and R_i
-    is the rest, so L_i and R_i are disjoint and their union is the
-    concatenation layer, the only clauses ``validate`` asks of them."""
+    level i's sorted ground set; 1 <= left[1] <= q-1 and
+    0 <= left[i] <= |ground| are checked level by level."""
     _check_depth(q, len(left) - 1)
-    levels: list[Pair] = []
-    for i in range(1, len(left)):
-        ground = sorted(concat_layer(levels, i) if i > 1 else DIGITS[:q])
+
+    def take(i: int, ground: set[str]) -> list[str]:
         lo, hi = (1, q - 1) if i == 1 else (0, len(ground))
         if not lo <= left[i] <= hi:
             raise ValueError(f"|L{i}| must be in [{lo}, {hi}], "
                              f"got {left[i]}")
-        levels.append((frozenset(ground[:left[i]]),
-                       frozenset(ground[left[i]:])))
-    return _trusted_family(q, levels)
+        return sorted(ground)[:left[i]]
+
+    return _grow(q, len(left) - 1, take)
 
 
 Side = Literal["R_empty", "L_empty"]
@@ -228,26 +247,11 @@ def balanced_family(q: int, x: int, k: int, side: Side) -> PartitionFamily:
     _check_depth(q, k)
     if not 1 <= x <= q - 1:
         raise ValueError(f"x must be in [1, q-1], got x={x} for q={q}")
-    low = frozenset(DIGITS[:x])
-    high = frozenset(DIGITS[x:q])
-    levels: list[tuple[frozenset[str], frozenset[str]]] = []
     if side == "R_empty":
-        l1, r1 = high, low
-        levels.append((l1, r1))
-        for i in range(2, k + 1):
-            prev_left = levels[-1][0]
-            levels.append((frozenset(l + r for l in prev_left for r in r1),
-                           frozenset()))
-    elif side == "L_empty":
-        l1, r1 = low, high
-        levels.append((l1, r1))
-        for i in range(2, k + 1):
-            prev_right = levels[-1][1]
-            levels.append((frozenset(),
-                           frozenset(l + r for l in l1 for r in prev_right)))
-    else:
-        raise ValueError(f"side must be 'R_empty' or 'L_empty', got {side!r}")
-    return _trusted_family(q, levels)
+        return _grow(q, k, lambda i, ground: DIGITS[x:q] if i == 1 else ground)
+    if side == "L_empty":
+        return _grow(q, k, lambda i, ground: DIGITS[:x] if i == 1 else ())
+    raise ValueError(f"side must be 'R_empty' or 'L_empty', got {side!r}")
 
 
 @dataclass(frozen=True)
@@ -326,31 +330,16 @@ def family_from_code(c: CodeSet, k: int) -> PartitionFamily:
     c must verify the window (1, k); otherwise the level sets need not be
     disjoint and the derivation is refused.  The prefixes are read from the
     same level sets that the (1, k) test ran on (``words._overlap_scan``),
-    and level i is ``L_i = ground & prefixes``, ``R_i = ground - L_i`` for
-    its ground set (the alphabet, then ``concat_layer``).
-
-    The family is not re-validated, because every clause of ``validate``
-    holds by construction except one.  q and the depth were checked.  At
-    every level L_i and R_i split the ground set, so they are disjoint and
-    their union is the alphabet or the concatenation layer.  R_1 holds the
-    last symbol of every word, since the t = 1 test found no last symbol
-    among the first symbols.  That leaves L_1, which is empty exactly when
-    c is empty; that family goes through the strict constructor and raises.
-    """
+    and level i is ``L_i = ground & prefixes`` (``_grow``).  An empty code
+    has an empty L_1 and is refused by the strict constructor."""
     _check_depth(c.q, k)
     witness, realized = _overlap_scan(c, 1, min(k, c.n - 1))
     if witness is not None:
         raise ValueError(f"code is not (1,{k})-overlap-free: {witness}")
     if k >= c.n:
         realized[c.n] = c.words
-    sigma = frozenset(DIGITS[: c.q])
-    l1 = sigma & realized[1]
-    levels = [(l1, sigma - l1)]
-    for i in range(2, k + 1):
-        ground = concat_layer(levels, i)
-        li = frozenset(ground & realized.get(i, set()))
-        levels.append((li, frozenset(ground - li)))
-    return (_trusted_family if l1 else PartitionFamily)(c.q, tuple(levels))
+    return _grow(c.q, k,
+                 lambda i, ground: ground.intersection(realized.get(i, ())))
 
 
 def compositions(m: int) -> Iterator[tuple[int, ...]]:

@@ -203,10 +203,8 @@ def least_period(w: str) -> int:
     |w| (the repetition reading of periodicity), so this returns |w| unless a
     proper divisor works."""
     n = len(w)
-    for d in divisors(n):
-        if n % d == 0 and w == w[:d] * (n // d):
-            return d
-    return n
+    # divisors(n) ends at n, which always works; '' has none, period 0
+    return next((d for d in divisors(n) if w == w[:d] * (n // d)), n)
 
 
 def is_primitive(w: str) -> bool:

@@ -1,5 +1,8 @@
-import pytest
+import re
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from overlapcodes.bounds import (BoundInconsistency, bound_report,
                                  exact_values, lower_bounds, round_nearest,
@@ -141,6 +144,45 @@ class TestReport:
                                      "balanced-partition")
                           for t2 in range(1, n)]
                 assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+class TestFatal:
+    """Each BoundInconsistency names its rules or bracket and the window.
+    No correct rule set trips them, so each is forced by patching a rule
+    or the rational e."""
+
+    WINDOW = (3, 5, 1, 2)
+    WHERE = "(q=3, n=5, t1=1, t2=2)"
+
+    def test_e_bound_below_its_floor(self, monkeypatch):
+        # (t2 + 1) | q runs the check; a zero e puts every value below it
+        monkeypatch.setattr("overlapcodes.bounds._E_LOWER", Fraction(0))
+        with pytest.raises(BoundInconsistency, match=re.escape(
+                "balanced-partition value 432 fell below q^n/(e*6) "
+                "at q=4, n=6")):
+            bound_report(4, 6, 1, 3)
+
+    def test_lower_above_upper(self, monkeypatch):
+        raised = [replace(e, value=e.value + 1000)
+                  for e in lower_bounds(*self.WINDOW)]
+        monkeypatch.setattr("overlapcodes.bounds.lower_bounds",
+                            lambda *window: raised)
+        hi = min(upper_bounds(*self.WINDOW), key=lambda e: e.value)
+        with pytest.raises(BoundInconsistency, match=re.escape(
+                f"lower rule balanced-partition={raised[0].value} exceeds "
+                f"upper rule {hi.rule}={hi.value} at {self.WHERE}")):
+            bound_report(*self.WINDOW)
+
+    def test_exact_outside_the_bracket(self, monkeypatch):
+        exact = exact_values(*self.WINDOW)
+        monkeypatch.setattr("overlapcodes.bounds.exact_values",
+                            lambda *window: replace(exact, value=10 ** 6))
+        lo = max(e.value for e in lower_bounds(*self.WINDOW))
+        hi = min(e.value for e in upper_bounds(*self.WINDOW))
+        with pytest.raises(BoundInconsistency, match=re.escape(
+                f"exact rule window2-exact=1000000 escapes the bracket "
+                f"[{lo}, {hi}] at {self.WHERE}")):
+            bound_report(*self.WINDOW)
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (2, 5), (3, 4)])

@@ -365,6 +365,12 @@ BUILDER_REFUSALS = [
     (dict(kind="PadT1T2", n=7, t1=2, t2=2),
      lambda f: overlap_free_1k(f, 6, 2),
      "overlap_free_1k: family depth 2 < required 3"),
+    # a given base code must pass its own (1, min(t2, n - 1)) window
+    (dict(kind="PadT1T2", n=4, t1=2, t2=2, family=None,
+          code=code(2, 3, {"010"})),
+     lambda f: pad_t1t2(code(2, 3, {"010"}), 2, 2),
+     "pad_t1t2: base code is not (1,2)-overlap-free: "
+     "prefix of '010' is a suffix of '010' at t=1"),
 ]
 
 
@@ -376,7 +382,7 @@ def test_spec_refuses_what_its_builder_refuses(spec, build, complaint):
     with pytest.raises(ValueError) as built:
         build(PAD_FAMILY)
     with pytest.raises(ValueError) as refused:
-        ConstructionSpec(family=PAD_FAMILY, **spec)
+        ConstructionSpec(**{"family": PAD_FAMILY, **spec})
     assert str(refused.value) == str(built.value) == complaint
 
 

@@ -113,6 +113,7 @@ def test_least_period_examples():
     assert least_period("0101") == 2
     assert least_period("0110") == 4  # 3 is a classical period but not a divisor
     assert least_period("000") == 1
+    assert least_period("") == 0  # no divisor of 0, so no repetition works
 
 
 @given(words_q2)
