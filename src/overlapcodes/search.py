@@ -29,9 +29,9 @@ desk-scale parameter space, and ``max_code`` takes the first that applies:
                    lower levels, each side word one bit, with precomputed
                    mask tables per level giving the words a claim set
                    leaves on each side.
-* ``quotient``   - bit-parallel branch and bound on the compatibility graph;
-                   the bound is the number of greedy colour classes (San
-                   Segundo et al., BBMC, Comput. Oper. Res. 2011).
+* ``quotient``   - ``_max_clique``, bit-parallel branch and bound on the
+                   compatibility graph, bounded by greedy colour classes
+                   (San Segundo et al., BBMC, Comput. Oper. Res. 2011).
                    Compatibility only depends on the first and last t2
                    symbols, so for n > 2*t2 the search runs at n = 2*t2 and
                    every middle is inserted into the witness (size times
@@ -50,15 +50,16 @@ Bit convention.  A mask over a ``CompatibilityGraph`` with m vertices puts
 vertex i at bit m-1-i, in ``build_graph``'s rows and in every mask a
 function here takes or returns.  The lowest-numbered vertex of a mask is then
 v = m-i = ``mask.bit_length()``, which is the vertex both clique engines
-(``_MaxClique`` and the Bron-Kerbosch walk of ``enumerate_maximal_codes``)
-visit first; their tables are indexed by that v.
+(``_max_clique`` and the Bron-Kerbosch walk of ``enumerate_maximal_codes``)
+visit first; their tables are indexed by that v.  Both keep their nodes on
+explicit stacks, so no recursion limit caps the size of a clique they reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Iterable, Iterator
 
@@ -75,10 +76,6 @@ VERTEX_CAP = 1 << 20
 _RECTANGLE_ASSIGNMENT_CAP = 1 << 13
 _RECTANGLE_SIDE_CAP = 1 << 12
 _CLASSCOUNT_CAP = 1 << 12
-
-
-class SearchBudgetExceeded(Exception):
-    """Internal: node budget ran out mid-search."""
 
 
 def _greedy(adj: list[int], bit: list[int], cand: int) -> int:
@@ -192,34 +189,35 @@ def build_graph(q: int, n: int, t1: int, t2: int) -> CompatibilityGraph:
     return CompatibilityGraph(tuple(verts), adj)
 
 
-class _MaxClique:
-    """Deterministic bit-parallel branch and bound; the bound at a node is
-    the number of greedy colour classes of its candidate set (BBMC).
-
-    Each step of the colouring walk finds the lowest-numbered vertex of its
-    mask with one bit_length() (module docstring)."""
-
-    def __init__(self, graph: CompatibilityGraph, node_budget: int):
-        self.m = len(graph.vertices)
-        self.adj, self.bit, _ = graph._view
-        full = (1 << self.m) - 1
-        self.non_adj = [full ^ a ^ b for a, b in zip(self.adj, self.bit)]
-        self.budget = node_budget
-        self.nodes = 0
-        self.best_size = 0
-        self.best_mask = 0
-
-    def _expand(self, r_mask: int, r_size: int, cand: int) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise SearchBudgetExceeded
-        adj, non_adj, bit = self.adj, self.non_adj, self.bit
+def _max_clique(graph: CompatibilityGraph, node_budget: int,
+                ) -> tuple[int, int, int, bool]:
+    """(size, witness mask, nodes, exact) of a maximum clique by bit-parallel
+    branch and bound from the ``_greedy`` clique, bounded at each node by the
+    number of greedy colour classes of its candidates (BBMC).  The nodes are
+    [r_mask, r_size, cand, order] frames on an explicit stack, so a dive is
+    as deep as memory allows; a frame branches on order from its end, the
+    highest colour first.  Past node_budget nodes the search returns the
+    best clique so far, inexact."""
+    m = len(graph.vertices)
+    if m == 0:
+        return 0, 0, 0, True
+    adj, bit, _ = graph._view
+    full = (1 << m) - 1
+    non_adj = [full ^ a ^ b for a, b in zip(adj, bit)]
+    best_mask = _greedy(adj, bit, full)
+    best, nodes = best_mask.bit_count(), 0
+    stack: list[list] = []
+    r_mask, r_size, cand = 0, 0, full  # the next node to colour and push
+    while True:
+        nodes += 1
+        if nodes > node_budget:
+            return best, best_mask, nodes, False
         # Colour classes: each takes the lowest-numbered remaining vertex,
         # then the lowest-numbered vertex not adjacent to any taken one, and
         # so on.  A vertex in class k bounds its branch by r_size + k, so
-        # classes up to best_size - r_size are only taken out of rest, and
-        # the later ones are listed for branching.
-        kmin = self.best_size - r_size
+        # classes up to best - r_size are only taken out of rest, and the
+        # later ones are listed for branching.
+        kmin = best - r_size
         rest = cand
         k = 0
         while rest and k < kmin:
@@ -239,30 +237,26 @@ class _MaxClique:
                 rest ^= bit[v]
                 avail &= non_adj[v]
                 append((v, k))
-        for v, k in reversed(order):
-            if r_size + k <= self.best_size:
-                return
+        stack.append([r_mask, r_size, cand, order])
+        # Branch from the top frame until a vertex leaves candidates, the
+        # next node; a frame whose next bound cannot beat best is dropped.
+        while stack:
+            frame = stack[-1]
+            r_mask, r_size, cand, order = frame
+            if not order or r_size + order[-1][1] <= best:
+                stack.pop()
+                continue
+            v, _ = order.pop()
             b = bit[v]
-            new_cand = cand & adj[v]
-            if new_cand:
-                self._expand(r_mask | b, r_size + 1, new_cand)
-            elif r_size + 1 > self.best_size:
-                self.best_size = r_size + 1
-                self.best_mask = r_mask | b
-            cand ^= b
-
-    def solve(self) -> tuple[int, int, int, bool]:
-        """(size, witness mask, nodes, exact)."""
-        if self.m == 0:
-            return 0, 0, 0, True
-        self.best_mask = _greedy(self.adj, self.bit, (1 << self.m) - 1)
-        self.best_size = self.best_mask.bit_count()
-        exact = True
-        try:
-            self._expand(0, 0, (1 << self.m) - 1)
-        except SearchBudgetExceeded:
-            exact = False
-        return self.best_size, self.best_mask, self.nodes, exact
+            frame[2] = cand ^ b
+            cand &= adj[v]
+            if cand:
+                r_mask, r_size = r_mask | b, r_size + 1
+                break
+            if r_size + 1 > best:
+                best, best_mask = r_size + 1, r_mask | b
+        else:
+            return best, best_mask, nodes, True
 
 
 def _rectangle_levels_feasible(q: int, t1: int, t2: int) -> bool:
@@ -312,20 +306,16 @@ def _rectangle_max(q: int, t1: int, t2: int) -> tuple[int, list[str], list[str]]
             free.append(free[rest] & ~suffix[pos])
         tables.append(list(zip(claimed, free)))
     best = (-1, 0, 0, 0)
-
-    def walk(level: int, in_u: int, in_v: int) -> None:
-        nonlocal best
-        if level == len(tables):
-            both = (in_u & in_v).bit_count()
-            j, val = _best_split(in_u.bit_count() - both, both,
-                                 in_v.bit_count() - both)
-            if val > best[0]:
-                best = (val, in_u, in_v, j)
-            return
-        for claimed, free in tables[level]:
-            walk(level + 1, in_u & claimed, in_v & free)
-
-    walk(0, full, full)
+    for claims in product(*tables):
+        in_u = in_v = full
+        for claimed, free in claims:
+            in_u &= claimed
+            in_v &= free
+        both = (in_u & in_v).bit_count()
+        j, val = _best_split(in_u.bit_count() - both, both,
+                             in_v.bit_count() - both)
+        if val > best[0]:
+            best = (val, in_u, in_v, j)
     val, in_u, in_v, j = best
     shared = in_u & in_v
     p_mask = in_u ^ shared
@@ -451,7 +441,7 @@ def max_code(q: int, n: int, t1: int, t2: int, *,
         # n = 2*t2 the graph is the 2*t2 graph with every middle inserted.
         base_n, used = min(n, 2 * t2), "quotient"
         graph = build_graph(q, base_n, t1, t2)
-        value, mask, nodes, exact = _MaxClique(graph, node_budget).solve()
+        value, mask, nodes, exact = _max_clique(graph, node_budget)
         terms = _lift_terms(graph.words(mask), t2, n - base_n, q)
     size = value * q ** (n - base_n)
     witness = _materialize(terms, q=q, n=n, window=(t1, t2), strict=True,
@@ -510,30 +500,35 @@ def enumerate_maximal_codes(q: int, n: int, t1: int, t2: int, *,
     if m == 0:
         return
     adj, bit, _ = graph._view
-
-    def bk(r: int, p: int, x: int) -> Iterator[int]:
+    # Frames [r, p, x, ext] on an explicit stack: clique, candidates,
+    # excluded, and the untried candidates not adjacent to the pivot.
+    stack: list[list[int]] = []
+    r, p, x = 0, (1 << m) - 1, 0  # the next node to report or push
+    while True:
         if p == 0 and x == 0:
-            yield r
+            yield _trusted_code(q, n, graph.words(r), (t1, t2))
+        else:
+            pivot, pivot_deg = 0, -1
+            scan = p | x
+            while scan:
+                u = scan.bit_length()
+                scan ^= bit[u]
+                deg = (p & adj[u]).bit_count()
+                if deg > pivot_deg:
+                    pivot, pivot_deg = u, deg
+            stack.append([r, p, x, p & ~adj[pivot]])
+        while stack:
+            frame = stack[-1]
+            r, p, x, ext = frame
+            if ext:
+                v = ext.bit_length()
+                b = bit[v]
+                frame[1:] = p ^ b, x | b, ext ^ b
+                r, p, x = r | b, p & adj[v], x & adj[v]
+                break
+            stack.pop()
+        else:
             return
-        pivot, pivot_deg = 0, -1
-        scan = p | x
-        while scan:
-            u = scan.bit_length()
-            scan ^= bit[u]
-            deg = (p & adj[u]).bit_count()
-            if deg > pivot_deg:
-                pivot, pivot_deg = u, deg
-        ext = p & ~adj[pivot]
-        while ext:
-            v = ext.bit_length()
-            b = bit[v]
-            ext ^= b
-            yield from bk(r | b, p & adj[v], x & adj[v])
-            p ^= b
-            x |= b
-
-    for mask in bk(0, (1 << m) - 1, 0):
-        yield _trusted_code(q, n, graph.words(mask), (t1, t2))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from overlapcodes.constructions import (code_size_1k, non_overlapping,
                                         pad_t1t2, simultaneous, t1t2_expanded,
                                         table_rows, wmu_expanded, wmu_size)
 from overlapcodes.families import enumerate_families, family_from_code
-from overlapcodes.search import (DEFAULT_NODE_BUDGET, _MaxClique,
+from overlapcodes.search import (DEFAULT_NODE_BUDGET, _max_clique,
                                  all_maximal_from_construction,
                                  binary_edge_check, build_graph,
                                  enumerate_maximal_codes, is_maximal,
@@ -48,10 +48,10 @@ def test_criterion_01_exact_window2_values():
 def test_criterion_02_free_middle_reduction():
     """Direct 64-word search equals q^2 times the half-length value."""
     started = time.time()
-    big, _, _, big_exact = _MaxClique(build_graph(2, 6, 1, 2),
-                                      DEFAULT_NODE_BUDGET).solve()
-    small, _, _, small_exact = _MaxClique(build_graph(2, 4, 1, 2),
-                                          DEFAULT_NODE_BUDGET).solve()
+    big, _, _, big_exact = _max_clique(build_graph(2, 6, 1, 2),
+                                       DEFAULT_NODE_BUDGET)
+    small, _, _, small_exact = _max_clique(build_graph(2, 4, 1, 2),
+                                           DEFAULT_NODE_BUDGET)
     assert big_exact and small_exact
     assert big == 4 * small == 8 == max_code(2, 6, 1, 2).size
     elapsed = time.time() - started
@@ -86,8 +86,8 @@ def test_table_base_max_is_exact_search_maximum(q, m_max):
     these windows from the count vectors too."""
     for row in table_rows("table1", q, m_max + 1):
         m = row["n"] - 1
-        size, _, _, exact = _MaxClique(build_graph(q, m, 1, m - 1),
-                                       DEFAULT_NODE_BUDGET).solve()
+        size, _, _, exact = _max_clique(build_graph(q, m, 1, m - 1),
+                                        DEFAULT_NODE_BUDGET)
         assert exact and size == row["base_max"], (q, m)
         result = max_code(q, m, 1, m - 1)
         assert result.exact and result.size == size, (q, m)

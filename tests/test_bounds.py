@@ -110,6 +110,8 @@ class TestExact:
         assert round_nearest(5, 3) == 2
         with pytest.raises(ArithmeticError):
             round_nearest(1, 2)
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            round_nearest(1, 0)
 
 
 class TestSimultaneous:

@@ -9,7 +9,8 @@ from overlapcodes.constructions import (KINDS, CodeTooLarge, ConstructionSpec,
                                         overlap_free_1k, pad_t1t2,
                                         project_code, run_construction,
                                         simultaneous, simultaneous_size,
-                                        t1t2_expanded, wmu_expanded, wmu_size)
+                                        t1t2_expanded, table_rows,
+                                        wmu_expanded, wmu_size)
 from overlapcodes.families import (balanced_family, compositions,
                                    enumerate_families, family)
 from overlapcodes.search import max_code
@@ -206,6 +207,12 @@ class TestLiftProject:
         with pytest.raises(ValueError):
             lift_code(code(2, 4, {"0011"}), 5)
 
+    def test_requires_a_base_of_length_2t2_and_a_longer_target(self):
+        with pytest.raises(ValueError, match="base length must be 2\\*t2 = 4"):
+            lift_code(code(2, 3, {"001"}, window=(1, 2)), 6)
+        with pytest.raises(ValueError, match="target length must exceed"):
+            lift_code(code(2, 4, {"0011"}, window=(1, 2)), 4)
+
     def test_projection_keeps_the_window(self):
         # t2 comes from the window: a (1, 3) code projects to length 6, where
         # the window still holds, and lifts back to itself
@@ -216,6 +223,8 @@ class TestLiftProject:
         assert lift_code(projected, 8) == c
         with pytest.raises(ValueError, match="must declare its overlap window"):
             project_code(code(2, 8, c.words))
+        with pytest.raises(ValueError, match="requires block length > 2\\*t2"):
+            project_code(code(2, 4, {"0011"}, window=(1, 2)))
 
 
 def test_unique_index_within_layered_code():
@@ -460,3 +469,13 @@ def test_t1t2_terms_match_looped_generator(n, t1, t2):
     for f in TERM_FAMILIES:
         assert (list(_t1t2_terms(f, n, t1, t2))
                 == list(looped_t1t2_terms(f, n, t1, t2)))
+
+
+def test_builders_refuse_windows_wider_than_the_block():
+    with pytest.raises(ValueError, match="requires t1 \\+ t2 <= n"):
+        t1t2_expanded(PAD_FAMILY, 3, 2, 2)
+
+
+def test_table_rows_refuses_an_unknown_table():
+    with pytest.raises(ValueError, match="which must be table1 or table2"):
+        list(table_rows("table3", 2, 6))

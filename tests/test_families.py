@@ -318,6 +318,17 @@ def test_compositions_examples():
     assert list(compositions(0)) == [()]
     assert list(compositions(1)) == [(1,)]
     assert list(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+    with pytest.raises(ValueError, match="non-negative integers"):
+        list(compositions(-1))
+
+
+def test_validation_names_the_failing_clause():
+    with pytest.raises(ValueError, match="alphabet size must be in"):
+        family(1, [({"0"}, set())])
+    with pytest.raises(ValueError, match="family must have depth >= 1"):
+        family(2, [])
+    with pytest.raises(ValueError, match="level 1: R1 is empty"):
+        family(2, [({"0", "1"}, set())])
 
 
 @given(st.integers(1, 11))

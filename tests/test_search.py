@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from itertools import islice, permutations, product
 
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from overlapcodes.families import (balanced_family, count_vectors,
                                    enumerate_families, family)
 from overlapcodes.constructions import _size_1k, lift_code, overlap_free_1k
-from overlapcodes.search import (DEFAULT_NODE_BUDGET, SearchBudgetExceeded,
-                                 _CLASSCOUNT_CAP, _best_split,
-                                 _classcount_feasible, _classcount_max,
-                                 _family_max, _MaxClique,
+from overlapcodes.search import (DEFAULT_NODE_BUDGET, _CLASSCOUNT_CAP,
+                                 _best_split, _classcount_feasible,
+                                 _classcount_max,
+                                 _family_max, _max_clique,
                                  _rectangle_levels_feasible,
                                  _rectangle_max,
                                  all_maximal_from_construction,
@@ -77,7 +78,7 @@ def clique_search(q, n, t1, t2, budget=DEFAULT_NODE_BUDGET):
     """The branch and bound on the graph at n itself: (size, witness words,
     nodes, exact)."""
     g = build_graph(q, n, t1, t2)
-    size, mask, nodes, exact = _MaxClique(g, budget).solve()
+    size, mask, nodes, exact = _max_clique(g, budget)
     return size, g.words(mask), nodes, exact
 
 
@@ -560,9 +561,33 @@ def test_binary_edge_check_odd_length_not_applicable():
 
 
 def test_binary_edge_check_rejects_ternary():
-    with pytest.raises(ValueError):
-        binary_edge_check(family(3, [({"0"}, {"1", "2"}),
-                                     ({"02"}, {"12"})]), 4, 2)
+    # a valid ternary family: its n/2 level {01, 02} has two words
+    f = family(3, [({"0"}, {"1", "2"}), ({"01"}, {"02"})])
+    with pytest.raises(ValueError, match="requires a singleton n/2 level"):
+        binary_edge_check(f, 4, 2)
+
+
+def test_binary_edge_check_refuses_short_windows_and_non_maximal_codes():
+    with pytest.raises(ValueError, match="requires k >= n/2"):
+        binary_edge_check(family(2, [({"0"}, {"1"}), (set(), {"01"})]), 6, 2)
+    # the n/2 level {001} is a singleton, but the code is not maximal
+    f = family(2, [({"0"}, {"1"}), (set(), {"01"}), (set(), {"001"}),
+                   ({"0001"}, set())])
+    with pytest.raises(ValueError, match="requires a maximal code"):
+        binary_edge_check(f, 6, 4)
+
+
+def test_round_trip_refuses_short_windows():
+    with pytest.raises(ValueError, match="requires k >= n/2"):
+        all_maximal_from_construction(2, 6, 2)
+
+
+def test_extension_and_completion_refuse_codes_failing_their_window():
+    bad = code(2, 3, {"010"})  # its 1-prefix is its 1-suffix
+    with pytest.raises(ValueError, match="does not verify its window"):
+        extension_word(bad, 1, 2)
+    with pytest.raises(ValueError, match="does not verify its window"):
+        greedy_complete(bad, 1, 2)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (2, 5, 3), (3, 4, 2)])
@@ -615,6 +640,10 @@ def test_graph_matches_per_level_oracle_on_the_wide_binary_window():
 
 # -- the clique engines against their bit i = vertex i oracles ---------------
 
+class OracleBudgetExceeded(Exception):
+    """LowBitMaxClique's node budget ran out mid-search."""
+
+
 class LowBitMaxClique:
     """The colouring branch and bound on bit i = vertex i masks, each step
     finding its vertex with mask & -mask: the engine the top-bit masks
@@ -642,7 +671,7 @@ class LowBitMaxClique:
     def _expand(self, r_mask, r_size, cand):
         self.nodes += 1
         if self.nodes > self.budget:
-            raise SearchBudgetExceeded
+            raise OracleBudgetExceeded
         kmin = self.best_size - r_size
         order = []
         rest = cand
@@ -676,7 +705,7 @@ class LowBitMaxClique:
         exact = True
         try:
             self._expand(0, 0, (1 << self.m) - 1)
-        except SearchBudgetExceeded:
+        except OracleBudgetExceeded:
             exact = False
         return self.best_size, self.best_mask, self.nodes, exact
 
@@ -731,7 +760,7 @@ def test_clique_engine_matches_low_bit_oracle_on_desk_graphs(budget):
     assert len(DESK_QUOTIENT_GRAPHS) == 37
     for window in DESK_QUOTIENT_GRAPHS:
         graph = build_graph(*window)
-        assert _MaxClique(graph, budget).solve() == \
+        assert _max_clique(graph, budget) == \
             oracle_solve(graph.adjacency, budget), window
 
 
@@ -741,7 +770,7 @@ def test_clique_engine_matches_low_bit_oracle_on_raw_graphs():
             for t2 in range(t1, n):
                 graph = build_graph(q, n, t1, t2)
                 for budget in (20, 1000):
-                    assert _MaxClique(graph, budget).solve() == \
+                    assert _max_clique(graph, budget) == \
                         oracle_solve(graph.adjacency, budget), \
                         (q, n, t1, t2, budget)
 
@@ -778,9 +807,30 @@ def test_clique_engines_match_low_bit_oracles_on_random_graphs(
     top = flip_rows(adj)
     # any m distinct words of one length stand for the vertices
     graph = CompatibilityGraph(tuple(f"{i:08b}" for i in range(m)), top)
-    assert _MaxClique(graph, budget).solve() == oracle_solve(top, budget)
+    assert _max_clique(graph, budget) == oracle_solve(top, budget)
     got = [c.words for c in
            islice(enumerate_maximal_codes(2, 8, 1, 1, graph=graph), 100)]
     want = [graph.words(flip(mask, m)) for mask in
             islice(low_bit_maximal_cliques(adj), 100)]
     assert got == want
+
+
+# -- dives deeper than the interpreter's recursion limit ---------------------
+
+def test_clique_search_dives_past_the_recursion_limit():
+    graph = build_graph(5, 6, 1, 3)
+    size, mask, nodes, exact = _max_clique(graph, 1500)
+    assert size > sys.getrecursionlimit()
+    assert (nodes, exact) == (1501, False)
+    words = graph.words(mask)
+    assert len(words) == size
+    assert verify_overlap_free(code(5, 6, words), 1, 3) is None
+
+
+def test_maximal_code_walk_dives_past_the_recursion_limit():
+    # the first maximal (1, 1) code: every word that starts with 0 and ends
+    # with 1
+    first = next(enumerate_maximal_codes(2, 12, 1, 1))
+    assert len(first) == 1024 > sys.getrecursionlimit()
+    assert first.words == {w for w in all_words(2, 12)
+                           if w[0] == "0" and w[-1] == "1"}

@@ -12,11 +12,11 @@ from overlapcodes.constructions import lift_code, project_code
 from overlapcodes.search import (build_graph, enumerate_maximal_codes,
                                  greedy_complete, max_code)
 from overlapcodes.words import (DIGITS, CodeSet, OverlapWitness, _trusted_code,
-                                all_words, check_alphabet, check_window, code,
-                                divisors, is_primitive, least_period, mobius,
-                                overlap_lengths, prefix_suffix_levels,
-                                primitive_count, self_compatible,
-                                verify_overlap_free)
+                                all_words, check_alphabet, check_window,
+                                check_word, code, divisors, is_primitive,
+                                least_period, mobius, overlap_lengths,
+                                prefix_suffix_levels, primitive_count,
+                                self_compatible, verify_overlap_free)
 from test_acceptance import construction_suite
 
 DESK_WINDOWS = [(q, n, t1, t2) for q in (2, 3) for n in range(3, 7)
@@ -149,6 +149,15 @@ def test_primitive_count_examples():
     assert primitive_count(2, 2) == 2
     assert primitive_count(2, 4) == 12
     assert primitive_count(3, 2) == 6
+    with pytest.raises(ValueError, match="length must be positive"):
+        primitive_count(2, 0)
+
+
+def test_check_word_refuses_empty_words_and_foreign_symbols():
+    with pytest.raises(ValueError, match="empty word"):
+        check_word("", 2)
+    with pytest.raises(ValueError, match="symbol '2' not in alphabet"):
+        check_word("012", 2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
